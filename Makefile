@@ -62,9 +62,9 @@ shardgate:
 # and IRQ-coalescing timer unit tests, the TSO fault-granularity
 # equivalence (an armed fault plane draws identical per-MSS decisions
 # whether or not the wire carries super-segments), the offload digest
-# suite under the race detector (legacy == sharded, offloads-off
-# inert), and the fsvet runtime alloc cross-check with every offload
-# enabled against the committed macro ceiling.
+# suite under the race detector (serial == multi-worker shard digests,
+# offloads-off inert), and the fsvet runtime alloc cross-check with
+# every offload enabled against the committed macro ceiling.
 offloadgate:
 	go test -run 'TestGRO|TestCoalesce' ./internal/kernel
 	go test -run 'TestTSO' ./internal/app
@@ -83,8 +83,13 @@ lifegate:
 	go test -race -run 'TestLifecycle' ./internal/app
 	go run ./cmd/fsbench lifecycle
 
+# The benchmark (cmd/fsperf) is a module of its own, so the root
+# `go vet ./...` and `go test ./...` skip it; it compiles against the
+# app and shard APIs, so it is vetted and tested here explicitly.
 test: lint vet allocgate fsmgate lifegate
 	go test ./...
+	go -C cmd/fsperf vet ./...
+	go -C cmd/fsperf test ./...
 
 # Full test run recorded to test_output.txt (what CI would archive).
 test-record:

@@ -14,6 +14,7 @@ import (
 	"fastsocket/internal/kernel"
 	"fastsocket/internal/netproto"
 	"fastsocket/internal/nic"
+	"fastsocket/internal/shard"
 	"fastsocket/internal/sim"
 )
 
@@ -148,18 +149,19 @@ func BenchmarkSyscallCostAblation(b *testing.B) {
 
 // measureWithCosts runs the web bench at 24 cores with custom costs.
 func measureWithCosts(costs *kernel.Costs, o experiment.Options) float64 {
-	loop := sim.NewLoop()
-	netw := app.NewNetwork(loop, 20*sim.Microsecond)
+	eng := shard.NewEngine(shard.Config{Lookahead: 20 * sim.Microsecond})
+	loop := eng.AddDomain("bed")
+	port := app.NewShardedNetwork(eng, 20*sim.Microsecond).Port(0)
 	k := kernel.New(loop, kernel.Config{
 		Cores: 24,
 		Mode:  kernel.Fastsocket,
 		Feat:  kernel.FullFastsocket(),
 		Costs: costs,
 	})
-	netw.AttachKernel(k)
+	port.AttachKernel(k)
 	srv := app.NewWebServer(k, app.WebServerConfig{})
 	srv.Start()
-	cli := app.NewHTTPLoad(loop, netw, app.HTTPLoadConfig{
+	cli := app.NewHTTPLoad(loop, port, app.HTTPLoadConfig{
 		Targets:     []netproto.Addr{{IP: k.IPs()[0], Port: 80}},
 		Concurrency: o.ConcurrencyPerCore * 24,
 	})
@@ -209,13 +211,14 @@ func BenchmarkNICModes(b *testing.B) {
 // sizing experiment windows).
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		loop := sim.NewLoop()
-		netw := app.NewNetwork(loop, 20*sim.Microsecond)
+		eng := shard.NewEngine(shard.Config{Lookahead: 20 * sim.Microsecond})
+		loop := eng.AddDomain("bed")
+		port := app.NewShardedNetwork(eng, 20*sim.Microsecond).Port(0)
 		k := kernel.New(loop, kernel.Config{Cores: 8, Mode: kernel.Fastsocket, Feat: kernel.FullFastsocket()})
-		netw.AttachKernel(k)
+		port.AttachKernel(k)
 		srv := app.NewWebServer(k, app.WebServerConfig{})
 		srv.Start()
-		cli := app.NewHTTPLoad(loop, netw, app.HTTPLoadConfig{
+		cli := app.NewHTTPLoad(loop, port, app.HTTPLoadConfig{
 			Targets:     []netproto.Addr{{IP: k.IPs()[0], Port: 80}},
 			Concurrency: 1000,
 		})

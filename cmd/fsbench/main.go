@@ -68,7 +68,7 @@ func main() {
 		coresFlag   = flag.String("cores", "", "comma-separated core counts for figure4 (default 1,4,8,12,16,20,24)")
 		quick       = flag.Bool("quick", false, "small windows for a fast smoke run")
 		parallel    = flag.Int("parallel", runtime.NumCPU(), "host workers for independent sweep points (1 = serial; results are identical)")
-		shards      = flag.Int("shards", 0, "shard workers inside each simulation (0 = legacy single-loop engine; 1 = serial shard reference; results are identical at any value)")
+		shards      = flag.Int("shards", 0, "shard workers inside each simulation (0 or 1 = serial; results are identical at any value)")
 		faultSpec   = flag.String("faults", "", "fault plan for ad-hoc robustness runs, e.g. loss=0.01,ring=256,allocfail=0.001 (applies to every experiment run)")
 		offloadSpec = flag.String("offloads", "", "NIC offloads to enable on the machine under test: comma list of tso,gro,coalesce, or 'all' (applies to every experiment run; default none)")
 	)

@@ -9,9 +9,10 @@ package main
 // Two sections:
 //
 //   - macro: the three stock kernels run the Nginx bench (Figure 4a's
-//     workload) at a fixed core count, seed and window; we report wall
-//     time, loop events executed, events/sec, ns and heap allocations
-//     per event, and simulated connections completed. The simulated
+//     workload) on a one-domain engine at a fixed core count, seed and
+//     window; we report wall time, loop events executed, events/sec,
+//     ns and heap allocations per event, and simulated connections
+//     completed. The simulated
 //     outcome (connections) is engine-independent; only the wall-side
 //     numbers may move between engine versions.
 //   - engine: a pure event-loop churn (schedule/fire and
@@ -139,8 +140,9 @@ func roundTo(v float64, digits int) float64 {
 // simperfMacro runs one kernel profile's fixed workload and measures
 // the engine while it runs.
 func simperfMacro(spec experiment.KernelSpec) simperfMacroRun {
-	loop := sim.NewLoop()
-	netw := app.NewNetwork(loop, 20*sim.Microsecond)
+	eng := shard.NewEngine(shard.Config{Lookahead: 20 * sim.Microsecond})
+	loop := eng.AddDomain("bed")
+	port := app.NewShardedNetwork(eng, 20*sim.Microsecond).Port(0)
 	k := kernel.New(loop, kernel.Config{
 		Name:  spec.Label,
 		Cores: simperfCores,
@@ -148,10 +150,10 @@ func simperfMacro(spec experiment.KernelSpec) simperfMacroRun {
 		Feat:  spec.Feat,
 		Seed:  1,
 	})
-	netw.AttachKernel(k)
+	port.AttachKernel(k)
 	srv := app.NewWebServer(k, app.WebServerConfig{})
 	srv.Start()
-	cli := app.NewHTTPLoad(loop, netw, app.HTTPLoadConfig{
+	cli := app.NewHTTPLoad(loop, port, app.HTTPLoadConfig{
 		Targets:     []netproto.Addr{{IP: k.IPs()[0], Port: 80}},
 		Concurrency: simperfConc * simperfCores,
 		Seed:        100,
@@ -300,8 +302,9 @@ const (
 // simperfOffload runs the bulk workload with the given offload set and
 // measures the engine while it runs.
 func simperfOffload(set experiment.Offloads) simperfOffloadRun {
-	loop := sim.NewLoop()
-	netw := app.NewNetwork(loop, 20*sim.Microsecond)
+	eng := shard.NewEngine(shard.Config{Lookahead: 20 * sim.Microsecond})
+	loop := eng.AddDomain("bed")
+	port := app.NewShardedNetwork(eng, 20*sim.Microsecond).Port(0)
 	k := kernel.New(loop, kernel.Config{
 		Name:  "fastsocket-bulk",
 		Cores: offloadCores,
@@ -316,10 +319,10 @@ func simperfOffload(set experiment.Offloads) simperfOffloadRun {
 		GRO:        set.GRO,
 		Coalesce:   set.Coalesce,
 	})
-	netw.AttachKernel(k)
+	port.AttachKernel(k)
 	srv := app.NewWebServer(k, app.WebServerConfig{ResponseLen: offloadRespLen})
 	srv.Start()
-	cli := app.NewHTTPLoad(loop, netw, app.HTTPLoadConfig{
+	cli := app.NewHTTPLoad(loop, port, app.HTTPLoadConfig{
 		Targets:     []netproto.Addr{{IP: k.IPs()[0], Port: 80}},
 		Concurrency: offloadConc * offloadCores,
 		Seed:        100,
@@ -457,7 +460,7 @@ func simperfSparsePoll(name string, n int) simperfEngineRun {
 // runSimperf executes both sections and writes BENCH_simperf.json.
 func runSimperf() string {
 	rep := simperfReport{
-		Note: fmt.Sprintf("fixed Figure-4a-style run: 3 stock kernels, %d cores, %v simulated, seed 1; shard section: %d paired server/client machines on the conservative-lookahead engine at 1/2/4/8 workers (simulated outcome bit-identical across worker counts, enforced); offload section: bulk transfers (16KB req / 64KB resp) off vs TSO+GRO vs all, >=2x mss_segs_per_wall_sec at zero extra allocs/event (enforced); engine churn 1e6 ops; regenerate with `make bench` (wall-side numbers are machine-dependent; sim_conns are not)",
+		Note: fmt.Sprintf("fixed Figure-4a-style run on a one-domain engine: 3 stock kernels, %d cores, %v simulated, seed 1; shard section: %d paired server/client machines on the conservative-lookahead engine at 1/2/4/8 workers (simulated outcome bit-identical across worker counts, enforced); offload section: bulk transfers (16KB req / 64KB resp) off vs TSO+GRO vs all, >=2x mss_segs_per_wall_sec at zero extra allocs/event (enforced); engine churn 1e6 ops; regenerate with `make bench` (wall-side numbers are machine-dependent; sim_conns are not)",
 			simperfCores, simperfWarmup+simperfWindow, shardServers),
 		HostCPUs: runtime.NumCPU(),
 	}

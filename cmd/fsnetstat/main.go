@@ -20,6 +20,7 @@ import (
 	"fastsocket/internal/kernel"
 	"fastsocket/internal/lock"
 	"fastsocket/internal/netproto"
+	"fastsocket/internal/shard"
 	"fastsocket/internal/sim"
 	"fastsocket/internal/stats"
 	"fastsocket/internal/tcp"
@@ -72,10 +73,11 @@ func main() {
 	if *lockgraph {
 		lock.EnableLockdep()
 	}
-	loop := sim.NewLoop()
-	netw := app.NewNetwork(loop, 20*sim.Microsecond)
+	eng := shard.NewEngine(shard.Config{Lookahead: 20 * sim.Microsecond})
+	loop := eng.AddDomain("bed")
+	port := app.NewShardedNetwork(eng, 20*sim.Microsecond).Port(0)
 	k := kernel.New(loop, cfg)
-	netw.AttachKernel(k)
+	port.AttachKernel(k)
 	var ring *trace.Ring
 	if *pcapPath != "" {
 		ring = trace.NewRing(65536, loop.Now, nil)
@@ -98,7 +100,7 @@ func main() {
 	}
 	srv := app.NewWebServer(k, wcfg)
 	srv.Start()
-	cli := app.NewHTTPLoad(loop, netw, lcfg)
+	cli := app.NewHTTPLoad(loop, port, lcfg)
 	cli.Start()
 	loop.RunUntil(sim.Time(*runMS) * sim.Millisecond)
 

@@ -8,6 +8,7 @@ import (
 	"fastsocket/internal/fault"
 	"fastsocket/internal/kernel"
 	"fastsocket/internal/netproto"
+	"fastsocket/internal/shard"
 	"fastsocket/internal/sim"
 	"fastsocket/internal/stats"
 	"fastsocket/internal/tcp"
@@ -37,8 +38,9 @@ func runFSMMix() *stats.FSMTrace {
 func fsmWebBeds(merged *stats.FSMTrace) {
 	const cores = 4
 	for _, spec := range experiment.StockKernels() {
-		loop := sim.NewLoop()
-		netw := app.NewNetwork(loop, 20*sim.Microsecond)
+		eng := shard.NewEngine(shard.Config{Lookahead: 20 * sim.Microsecond})
+		loop := eng.AddDomain("bed")
+		port := app.NewShardedNetwork(eng, 20*sim.Microsecond).Port(0)
 		k := kernel.New(loop, kernel.Config{
 			Name:  spec.Label,
 			Cores: cores,
@@ -46,9 +48,9 @@ func fsmWebBeds(merged *stats.FSMTrace) {
 			Feat:  spec.Feat,
 			Seed:  1,
 		})
-		netw.AttachKernel(k)
+		port.AttachKernel(k)
 		app.NewWebServer(k, app.WebServerConfig{}).Start()
-		cli := app.NewHTTPLoad(loop, netw, app.HTTPLoadConfig{
+		cli := app.NewHTTPLoad(loop, port, app.HTTPLoadConfig{
 			Targets:     []netproto.Addr{{IP: k.IPs()[0], Port: 80}},
 			Concurrency: 50 * cores,
 			Seed:        100,
@@ -69,8 +71,9 @@ func fsmLossyWebBed(merged *stats.FSMTrace) {
 	if err != nil {
 		panic(err)
 	}
-	loop := sim.NewLoop()
-	netw := app.NewNetwork(loop, 20*sim.Microsecond)
+	eng := shard.NewEngine(shard.Config{Lookahead: 20 * sim.Microsecond})
+	loop := eng.AddDomain("bed")
+	port := app.NewShardedNetwork(eng, 20*sim.Microsecond).Port(0)
 	k := kernel.New(loop, kernel.Config{
 		Cores: 2,
 		Mode:  kernel.Fastsocket,
@@ -78,9 +81,9 @@ func fsmLossyWebBed(merged *stats.FSMTrace) {
 		Seed:  6,
 		Fault: &plan,
 	})
-	netw.AttachKernel(k)
+	port.AttachKernel(k)
 	app.NewWebServer(k, app.WebServerConfig{}).Start()
-	cli := app.NewHTTPLoad(loop, netw, app.HTTPLoadConfig{
+	cli := app.NewHTTPLoad(loop, port, app.HTTPLoadConfig{
 		Targets:     []netproto.Addr{{IP: k.IPs()[0], Port: 80}},
 		Concurrency: 60,
 		Seed:        101,
@@ -98,8 +101,9 @@ func fsmLossyWebBed(merged *stats.FSMTrace) {
 // backend closes first, so the proxy's outbound sockets walk
 // CLOSE_WAIT -> LAST_ACK -> CLOSED).
 func fsmProxyBed(merged *stats.FSMTrace) {
-	loop := sim.NewLoop()
-	netw := app.NewNetwork(loop, 20*sim.Microsecond)
+	eng := shard.NewEngine(shard.Config{Lookahead: 20 * sim.Microsecond})
+	loop := eng.AddDomain("bed")
+	port := app.NewShardedNetwork(eng, 20*sim.Microsecond).Port(0)
 	k := kernel.New(loop, kernel.Config{
 		Cores: 4,
 		Mode:  kernel.Fastsocket,
@@ -107,12 +111,12 @@ func fsmProxyBed(merged *stats.FSMTrace) {
 		Seed:  2,
 		IPs:   []netproto.IP{netproto.IPv4(10, 1, 0, 1)},
 	})
-	netw.AttachKernel(k)
+	port.AttachKernel(k)
 	backendAddr := netproto.Addr{IP: netproto.IPv4(10, 3, 0, 1), Port: 80}
-	app.NewBackend(loop, netw, app.BackendConfig{Addr: backendAddr})
+	app.NewBackend(loop, port, app.BackendConfig{Addr: backendAddr})
 	px := app.NewProxy(k, app.ProxyConfig{Backends: []netproto.Addr{backendAddr}})
 	px.Start()
-	cli := app.NewHTTPLoad(loop, netw, app.HTTPLoadConfig{
+	cli := app.NewHTTPLoad(loop, port, app.HTTPLoadConfig{
 		Targets:     []netproto.Addr{{IP: netproto.IPv4(10, 1, 0, 1), Port: 80}},
 		Concurrency: 100,
 		Seed:        7,
@@ -126,8 +130,9 @@ func fsmProxyBed(merged *stats.FSMTrace) {
 // cookie ACKs rebuild connections with no SYN_RCVD stage, the
 // CLOSED -> ESTABLISHED extension edge.
 func fsmCookieBed(merged *stats.FSMTrace) {
-	loop := sim.NewLoop()
-	netw := app.NewNetwork(loop, 20*sim.Microsecond)
+	eng := shard.NewEngine(shard.Config{Lookahead: 20 * sim.Microsecond})
+	loop := eng.AddDomain("bed")
+	port := app.NewShardedNetwork(eng, 20*sim.Microsecond).Port(0)
 	params := tcp.DefaultParams()
 	params.SynBacklog = 64
 	params.SynCookies = true
@@ -138,16 +143,16 @@ func fsmCookieBed(merged *stats.FSMTrace) {
 		Seed:  3,
 		TCP:   params,
 	})
-	netw.AttachKernel(k)
+	port.AttachKernel(k)
 	app.NewWebServer(k, app.WebServerConfig{}).Start()
-	cli := app.NewHTTPLoad(loop, netw, app.HTTPLoadConfig{
+	cli := app.NewHTTPLoad(loop, port, app.HTTPLoadConfig{
 		Targets:     []netproto.Addr{{IP: k.IPs()[0], Port: 80}},
 		Concurrency: 8,
 		Seed:        102,
 		RTO:         20 * sim.Millisecond,
 		MaxSYNRetry: 2,
 	})
-	flood := app.NewSYNFlood(loop, netw, app.SYNFloodConfig{
+	flood := app.NewSYNFlood(loop, port, app.SYNFloodConfig{
 		Target: netproto.Addr{IP: k.IPs()[0], Port: 80},
 		Rate:   200000,
 	})
@@ -167,8 +172,9 @@ func fsmLifecycleBed(merged *stats.FSMTrace) {
 		{At: 2 * sim.Millisecond, Action: fault.HostCrash, RestartAfter: 3 * sim.Millisecond},
 		{At: 10 * sim.Millisecond, Action: fault.HostDrain, RestartAfter: 3 * sim.Millisecond},
 	}}}
-	loop := sim.NewLoop()
-	netw := app.NewNetwork(loop, 20*sim.Microsecond)
+	eng := shard.NewEngine(shard.Config{Lookahead: 20 * sim.Microsecond})
+	loop := eng.AddDomain("bed")
+	port := app.NewShardedNetwork(eng, 20*sim.Microsecond).Port(0)
 	k := kernel.New(loop, kernel.Config{
 		Cores: 1,
 		Mode:  kernel.Fastsocket,
@@ -176,9 +182,9 @@ func fsmLifecycleBed(merged *stats.FSMTrace) {
 		Seed:  11,
 		Fault: plan,
 	})
-	netw.AttachKernel(k)
+	port.AttachKernel(k)
 	app.NewWebServer(k, app.WebServerConfig{}).Start()
-	cli := app.NewHTTPLoad(loop, netw, app.HTTPLoadConfig{
+	cli := app.NewHTTPLoad(loop, port, app.HTTPLoadConfig{
 		Targets:     []netproto.Addr{{IP: k.IPs()[0], Port: 80}},
 		Concurrency: 40,
 		Seed:        103,
@@ -197,8 +203,9 @@ func fsmLifecycleBed(merged *stats.FSMTrace) {
 // a tiny RTO so SYN-retry exhaustion fits the window: ETIMEDOUT aborts
 // of half-open active connects (SYN_SENT -> CLOSED).
 func fsmDeadBackendBed(merged *stats.FSMTrace) {
-	loop := sim.NewLoop()
-	netw := app.NewNetwork(loop, 20*sim.Microsecond)
+	eng := shard.NewEngine(shard.Config{Lookahead: 20 * sim.Microsecond})
+	loop := eng.AddDomain("bed")
+	port := app.NewShardedNetwork(eng, 20*sim.Microsecond).Port(0)
 	params := tcp.DefaultParams()
 	params.InitialRTO = sim.Millisecond
 	params.SynRetries = 2
@@ -209,12 +216,12 @@ func fsmDeadBackendBed(merged *stats.FSMTrace) {
 		Seed:  4,
 		TCP:   params,
 	})
-	netw.AttachKernel(k)
+	port.AttachKernel(k)
 	px := app.NewProxy(k, app.ProxyConfig{
 		Backends: []netproto.Addr{{IP: netproto.IPv4(10, 9, 9, 9), Port: 80}},
 	})
 	px.Start()
-	cli := app.NewHTTPLoad(loop, netw, app.HTTPLoadConfig{
+	cli := app.NewHTTPLoad(loop, port, app.HTTPLoadConfig{
 		Targets:     []netproto.Addr{{IP: k.IPs()[0], Port: 80}},
 		Concurrency: 20,
 		Seed:        104,
@@ -229,8 +236,9 @@ func fsmDeadBackendBed(merged *stats.FSMTrace) {
 // flight, so each side sees the peer's FIN before the ACK of its own —
 // RFC 793's simultaneous close (FIN_WAIT1 -> CLOSING -> TIME_WAIT).
 func fsmSimulCloseBed(merged *stats.FSMTrace) {
-	loop := sim.NewLoop()
-	netw := app.NewNetwork(loop, 20*sim.Microsecond)
+	eng := shard.NewEngine(shard.Config{Lookahead: 20 * sim.Microsecond})
+	loop := eng.AddDomain("bed")
+	port := app.NewShardedNetwork(eng, 20*sim.Microsecond).Port(0)
 	ka := kernel.New(loop, kernel.Config{
 		Cores: 1, Mode: kernel.Fastsocket, Feat: kernel.FullFastsocket(),
 		Seed: 8, IPs: []netproto.IP{netproto.IPv4(10, 1, 0, 1)},
@@ -239,8 +247,8 @@ func fsmSimulCloseBed(merged *stats.FSMTrace) {
 		Cores: 1, Mode: kernel.Fastsocket, Feat: kernel.FullFastsocket(),
 		Seed: 9, IPs: []netproto.IP{netproto.IPv4(10, 2, 0, 1)},
 	})
-	netw.AttachKernel(ka)
-	netw.AttachKernel(kb)
+	port.AttachKernel(ka)
+	port.AttachKernel(kb)
 
 	// B: a boot listener and an accept-only worker.
 	lsk := kb.BootListener(netproto.Addr{IP: kb.IPs()[0], Port: 80})

@@ -32,6 +32,7 @@ import (
 	"fastsocket/internal/kernel"
 	"fastsocket/internal/lock"
 	"fastsocket/internal/netproto"
+	"fastsocket/internal/shard"
 	"fastsocket/internal/sim"
 	"fastsocket/internal/stats"
 	"fastsocket/internal/vet"
@@ -322,8 +323,9 @@ func measureMacroAllocs() float64 {
 	)
 	var totalAllocs, totalEvents uint64
 	for _, spec := range experiment.StockKernels() {
-		loop := sim.NewLoop()
-		netw := app.NewNetwork(loop, 20*sim.Microsecond)
+		eng := shard.NewEngine(shard.Config{Lookahead: 20 * sim.Microsecond})
+		loop := eng.AddDomain("bed")
+		port := app.NewShardedNetwork(eng, 20*sim.Microsecond).Port(0)
 		k := kernel.New(loop, kernel.Config{
 			Name:  spec.Label,
 			Cores: cores,
@@ -331,10 +333,10 @@ func measureMacroAllocs() float64 {
 			Feat:  spec.Feat,
 			Seed:  1,
 		})
-		netw.AttachKernel(k)
+		port.AttachKernel(k)
 		srv := app.NewWebServer(k, app.WebServerConfig{})
 		srv.Start()
-		cli := app.NewHTTPLoad(loop, netw, app.HTTPLoadConfig{
+		cli := app.NewHTTPLoad(loop, port, app.HTTPLoadConfig{
 			Targets:     []netproto.Addr{{IP: k.IPs()[0], Port: 80}},
 			Concurrency: conc * cores,
 			Seed:        100,
@@ -369,8 +371,9 @@ func measureOffloadAllocs() float64 {
 		conc   = 40 // per core; each connection moves ~80KB
 	)
 	spec := experiment.StockKernels()[2]
-	loop := sim.NewLoop()
-	netw := app.NewNetwork(loop, 20*sim.Microsecond)
+	eng := shard.NewEngine(shard.Config{Lookahead: 20 * sim.Microsecond})
+	loop := eng.AddDomain("bed")
+	port := app.NewShardedNetwork(eng, 20*sim.Microsecond).Port(0)
 	k := kernel.New(loop, kernel.Config{
 		Name:  spec.Label,
 		Cores: cores,
@@ -384,10 +387,10 @@ func measureOffloadAllocs() float64 {
 		GRO:        true,
 		Coalesce:   true,
 	})
-	netw.AttachKernel(k)
+	port.AttachKernel(k)
 	srv := app.NewWebServer(k, app.WebServerConfig{ResponseLen: 64 * 1024})
 	srv.Start()
-	cli := app.NewHTTPLoad(loop, netw, app.HTTPLoadConfig{
+	cli := app.NewHTTPLoad(loop, port, app.HTTPLoadConfig{
 		Targets:     []netproto.Addr{{IP: k.IPs()[0], Port: 80}},
 		Concurrency: conc * cores,
 		Seed:        100,

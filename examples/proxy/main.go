@@ -13,6 +13,7 @@ import (
 	"fastsocket/internal/kernel"
 	"fastsocket/internal/netproto"
 	"fastsocket/internal/nic"
+	"fastsocket/internal/shard"
 	"fastsocket/internal/sim"
 )
 
@@ -37,22 +38,23 @@ func main() {
 			feat.RFD = true
 			feat.LocalEst = true // requires complete locality (§3.2.2)
 		}
-		loop := sim.NewLoop()
-		netw := app.NewNetwork(loop, 20*sim.Microsecond)
+		eng := shard.NewEngine(shard.Config{Lookahead: 20 * sim.Microsecond})
+		loop := eng.AddDomain("bed")
+		port := app.NewShardedNetwork(eng, 20*sim.Microsecond).Port(0)
 		k := kernel.New(loop, kernel.Config{
 			Cores:   *cores,
 			Mode:    kernel.Fastsocket,
 			Feat:    feat,
 			NICMode: cfgRow.nicMode,
 		})
-		netw.AttachKernel(k)
+		port.AttachKernel(k)
 
 		backendAddr := netproto.Addr{IP: netproto.IPv4(10, 3, 0, 1), Port: 80}
-		app.NewBackend(loop, netw, app.BackendConfig{Addr: backendAddr})
+		app.NewBackend(loop, port, app.BackendConfig{Addr: backendAddr})
 		px := app.NewProxy(k, app.ProxyConfig{Backends: []netproto.Addr{backendAddr}})
 		px.Start()
 
-		cli := app.NewHTTPLoad(loop, netw, app.HTTPLoadConfig{
+		cli := app.NewHTTPLoad(loop, port, app.HTTPLoadConfig{
 			Targets:     []netproto.Addr{{IP: k.IPs()[0], Port: 80}},
 			Concurrency: 300 * *cores,
 		})

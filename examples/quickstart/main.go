@@ -11,13 +11,16 @@ import (
 	"fastsocket/internal/app"
 	"fastsocket/internal/kernel"
 	"fastsocket/internal/netproto"
+	"fastsocket/internal/shard"
 	"fastsocket/internal/sim"
 )
 
 func main() {
-	// One event loop drives everything; all times are simulated.
-	loop := sim.NewLoop()
-	netw := app.NewNetwork(loop, 20*sim.Microsecond)
+	// One engine domain carries every endpoint, so its single event
+	// loop drives everything; all times are simulated.
+	eng := shard.NewEngine(shard.Config{Lookahead: 20 * sim.Microsecond})
+	loop := eng.AddDomain("bed")
+	port := app.NewShardedNetwork(eng, 20*sim.Microsecond).Port(0)
 
 	// An 8-core machine running the full Fastsocket kernel.
 	k := kernel.New(loop, kernel.Config{
@@ -25,7 +28,7 @@ func main() {
 		Mode:  kernel.Fastsocket,
 		Feat:  kernel.FullFastsocket(),
 	})
-	netw.AttachKernel(k)
+	port.AttachKernel(k)
 
 	// An Nginx-like server: one worker per core, 1200-byte cached
 	// response, connection closed after each request.
@@ -33,7 +36,7 @@ func main() {
 	srv.Start()
 
 	// An http_load-like client keeping 2000 connections in flight.
-	cli := app.NewHTTPLoad(loop, netw, app.HTTPLoadConfig{
+	cli := app.NewHTTPLoad(loop, port, app.HTTPLoadConfig{
 		Targets:     []netproto.Addr{{IP: k.IPs()[0], Port: 80}},
 		Concurrency: 2000,
 	})

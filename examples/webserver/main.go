@@ -12,6 +12,7 @@ import (
 	"fastsocket/internal/cpu"
 	"fastsocket/internal/kernel"
 	"fastsocket/internal/netproto"
+	"fastsocket/internal/shard"
 	"fastsocket/internal/sim"
 	"fastsocket/internal/stats"
 )
@@ -32,8 +33,9 @@ func main() {
 	}
 
 	for _, spec := range specs {
-		loop := sim.NewLoop()
-		netw := app.NewNetwork(loop, 20*sim.Microsecond)
+		eng := shard.NewEngine(shard.Config{Lookahead: 20 * sim.Microsecond})
+		loop := eng.AddDomain("bed")
+		port := app.NewShardedNetwork(eng, 20*sim.Microsecond).Port(0)
 		ips := []netproto.IP{
 			netproto.IPv4(10, 1, 0, 1), netproto.IPv4(10, 1, 0, 2),
 			netproto.IPv4(10, 1, 0, 3), netproto.IPv4(10, 1, 0, 4),
@@ -41,14 +43,14 @@ func main() {
 		k := kernel.New(loop, kernel.Config{
 			Cores: *cores, Mode: spec.mode, Feat: spec.feat, IPs: ips,
 		})
-		netw.AttachKernel(k)
+		port.AttachKernel(k)
 		srv := app.NewWebServer(k, app.WebServerConfig{})
 		srv.Start()
 		var targets []netproto.Addr
 		for _, ip := range ips {
 			targets = append(targets, netproto.Addr{IP: ip, Port: 80})
 		}
-		cli := app.NewHTTPLoad(loop, netw, app.HTTPLoadConfig{
+		cli := app.NewHTTPLoad(loop, port, app.HTTPLoadConfig{
 			Targets:     targets,
 			Concurrency: 300 * *cores,
 		})

@@ -3,13 +3,25 @@ package app
 import (
 	"testing"
 
+	"fastsocket/internal/fault"
 	"fastsocket/internal/kernel"
 	"fastsocket/internal/netproto"
+	"fastsocket/internal/shard"
 	"fastsocket/internal/sim"
 	"fastsocket/internal/tcp"
 )
 
 // --- Network fabric ---------------------------------------------------
+
+// oneDomain builds a fabric over a one-domain shard engine: every
+// endpoint attaches to the returned Port(0), and the test drives the
+// domain's loop directly.
+func oneDomain(delay sim.Time) (*sim.Loop, *Network, *Port) {
+	eng := shard.NewEngine(shard.Config{Lookahead: delay})
+	loop := eng.AddDomain("bed")
+	n := NewShardedNetwork(eng, delay)
+	return loop, n, n.Port(0)
+}
 
 type sinkEndpoint struct {
 	got []*netproto.Packet
@@ -18,12 +30,11 @@ type sinkEndpoint struct {
 func (s *sinkEndpoint) Deliver(p *netproto.Packet) { s.got = append(s.got, p) }
 
 func TestNetworkDeliversAfterDelay(t *testing.T) {
-	loop := sim.NewLoop()
-	n := NewNetwork(loop, 100*sim.Microsecond)
+	loop, n, port := oneDomain(100 * sim.Microsecond)
 	sink := &sinkEndpoint{}
 	ip := netproto.IPv4(10, 0, 0, 1)
-	n.Attach(sink, ip)
-	n.Send(&netproto.Packet{Dst: netproto.Addr{IP: ip, Port: 80}})
+	port.Attach(sink, ip)
+	port.Send(&netproto.Packet{Dst: netproto.Addr{IP: ip, Port: 80}})
 	loop.RunUntil(99 * sim.Microsecond)
 	if len(sink.got) != 0 {
 		t.Error("packet arrived before the fabric delay")
@@ -38,40 +49,81 @@ func TestNetworkDeliversAfterDelay(t *testing.T) {
 }
 
 func TestNetworkUnroutable(t *testing.T) {
-	loop := sim.NewLoop()
-	n := NewNetwork(loop, 0)
-	n.Send(&netproto.Packet{Dst: netproto.Addr{IP: netproto.IPv4(9, 9, 9, 9), Port: 1}})
+	loop, n, port := oneDomain(10 * sim.Microsecond)
+	port.Send(&netproto.Packet{Dst: netproto.Addr{IP: netproto.IPv4(9, 9, 9, 9), Port: 1}})
 	loop.Run()
 	if n.Stats().Unroutable != 1 {
 		t.Errorf("stats = %+v", n.Stats())
 	}
 }
 
+// TestNetworkLoss: a port armed with a link-drop plan accounts for
+// every packet it is handed as delivered or lost, and the fabric and
+// fault counters agree on the losses.
 func TestNetworkLoss(t *testing.T) {
-	loop := sim.NewLoop()
-	n := NewNetwork(loop, 0)
+	loop, n, port := oneDomain(10 * sim.Microsecond)
+	n.faults = fault.NewEngine(1, fault.Plan{C2S: fault.LinkFaults{Drop: 0.5}})
 	sink := &sinkEndpoint{}
 	ip := netproto.IPv4(10, 0, 0, 1)
-	n.Attach(sink, ip)
-	n.SetLoss(0.5)
+	port.Attach(sink, ip)
 	for i := 0; i < 1000; i++ {
-		n.Send(&netproto.Packet{Dst: netproto.Addr{IP: ip, Port: 80}})
+		port.Send(&netproto.Packet{Dst: netproto.Addr{IP: ip, Port: 80}, Seq: uint32(i)})
 	}
 	loop.Run()
 	st := n.Stats()
 	if st.LostRandom < 400 || st.LostRandom > 600 {
 		t.Errorf("lost %d/1000 at 50%% loss", st.LostRandom)
 	}
-	if st.Delivered+st.LostRandom != 1000 {
-		t.Errorf("accounting mismatch: %+v", st)
+	if st.Delivered+st.LostRandom != 1000 || uint64(len(sink.got)) != st.Delivered {
+		t.Errorf("accounting mismatch: %+v, %d arrivals", st, len(sink.got))
+	}
+	if drops := n.FaultStats().LinkDrops; drops != st.LostRandom {
+		t.Errorf("fault LinkDrops = %d, fabric LostRandom = %d", drops, st.LostRandom)
+	}
+}
+
+// TestFaultStatsSumsPortViews: on a two-domain bed each sending port
+// decides and counts link faults in its own sender view; FaultStats is
+// their sum, and the arming engine itself counts nothing.
+func TestFaultStatsSumsPortViews(t *testing.T) {
+	const delay = 10 * sim.Microsecond
+	eng := shard.NewEngine(shard.Config{Lookahead: delay})
+	eng.AddDomain("a")
+	eng.AddDomain("b")
+	n := NewShardedNetwork(eng, delay)
+	n.faults = fault.NewEngine(1, fault.Plan{C2S: fault.LinkFaults{Drop: 1}})
+	a, b := n.Port(0), n.Port(1)
+	ipA, ipB := netproto.IPv4(10, 0, 0, 1), netproto.IPv4(10, 0, 0, 2)
+	a.Attach(&sinkEndpoint{}, ipA)
+	b.Attach(&sinkEndpoint{}, ipB)
+	for i := 0; i < 3; i++ {
+		a.Send(&netproto.Packet{Dst: netproto.Addr{IP: ipB, Port: 80}, Seq: uint32(i)})
+	}
+	for i := 0; i < 2; i++ {
+		b.Send(&netproto.Packet{Dst: netproto.Addr{IP: ipA, Port: 80}, Seq: uint32(i)})
+	}
+	eng.Run(sim.Millisecond)
+	if got := a.faults.Stats().LinkDrops; got != 3 {
+		t.Errorf("port 0 view LinkDrops = %d, want 3", got)
+	}
+	if got := b.faults.Stats().LinkDrops; got != 2 {
+		t.Errorf("port 1 view LinkDrops = %d, want 2", got)
+	}
+	if got := n.FaultStats().LinkDrops; got != 5 {
+		t.Errorf("FaultStats LinkDrops = %d, want 5 (sum of the port views)", got)
+	}
+	if got := n.faults.Stats().LinkDrops; got != 0 {
+		t.Errorf("arming engine counted %d link drops, want 0", got)
+	}
+	if st := n.Stats(); st.LostRandom != 5 || st.Delivered != 0 {
+		t.Errorf("fabric stats = %+v, want 5 lost, 0 delivered", st)
 	}
 }
 
 // --- Backend mini-TCP -------------------------------------------------
 
-func backendPair(t *testing.T) (*sim.Loop, *Network, *Backend, netproto.Addr) {
-	loop := sim.NewLoop()
-	n := NewNetwork(loop, 10*sim.Microsecond)
+func backendPair(t *testing.T) (*sim.Loop, *Port, *Backend, netproto.Addr) {
+	loop, _, n := oneDomain(10 * sim.Microsecond)
 	addr := netproto.Addr{IP: netproto.IPv4(10, 3, 0, 1), Port: 80}
 	b := NewBackend(loop, n, BackendConfig{Addr: addr, ResponseLen: 256})
 	return loop, n, b, addr
@@ -152,13 +204,12 @@ func TestBackendIgnoresForeignPackets(t *testing.T) {
 // --- HTTPLoad keep-alive ----------------------------------------------
 
 func TestKeepAliveMultipleRequestsPerConnection(t *testing.T) {
-	loop := sim.NewLoop()
-	netw := NewNetwork(loop, 20*sim.Microsecond)
+	loop, _, port := oneDomain(20 * sim.Microsecond)
 	k := kernel.New(loop, kernel.Config{Cores: 2, Mode: kernel.Fastsocket, Feat: kernel.FullFastsocket()})
-	netw.AttachKernel(k)
+	port.AttachKernel(k)
 	srv := NewWebServer(k, WebServerConfig{KeepAlive: true})
 	srv.Start()
-	cli := NewHTTPLoad(loop, netw, HTTPLoadConfig{
+	cli := NewHTTPLoad(loop, port, HTTPLoadConfig{
 		Targets:         serverTargets(k, 80),
 		Concurrency:     4,
 		RequestsPerConn: 10,
@@ -184,13 +235,12 @@ func TestKeepAliveMultipleRequestsPerConnection(t *testing.T) {
 }
 
 func TestKeepAliveServerCountsEveryRequest(t *testing.T) {
-	loop := sim.NewLoop()
-	netw := NewNetwork(loop, 20*sim.Microsecond)
+	loop, _, port := oneDomain(20 * sim.Microsecond)
 	k := kernel.New(loop, kernel.Config{Cores: 1, Mode: kernel.Base2632})
-	netw.AttachKernel(k)
+	port.AttachKernel(k)
 	srv := NewWebServer(k, WebServerConfig{KeepAlive: true})
 	srv.Start()
-	cli := NewHTTPLoad(loop, netw, HTTPLoadConfig{
+	cli := NewHTTPLoad(loop, port, HTTPLoadConfig{
 		Targets:         serverTargets(k, 80),
 		Concurrency:     2,
 		RequestsPerConn: 5,
@@ -206,13 +256,12 @@ func TestKeepAliveServerCountsEveryRequest(t *testing.T) {
 }
 
 func TestOpenLoopArrivals(t *testing.T) {
-	loop := sim.NewLoop()
-	netw := NewNetwork(loop, 20*sim.Microsecond)
+	loop, _, port := oneDomain(20 * sim.Microsecond)
 	k := kernel.New(loop, kernel.Config{Cores: 2, Mode: kernel.Fastsocket, Feat: kernel.FullFastsocket()})
-	netw.AttachKernel(k)
+	port.AttachKernel(k)
 	srv := NewWebServer(k, WebServerConfig{})
 	srv.Start()
-	cli := NewHTTPLoad(loop, netw, HTTPLoadConfig{Targets: serverTargets(k, 80)})
+	cli := NewHTTPLoad(loop, port, HTTPLoadConfig{Targets: serverTargets(k, 80)})
 	cli.StartOpenLoop(func(sim.Time) float64 { return 10000 }) // 10k conns/s
 	loop.RunUntil(50 * sim.Millisecond)
 	// ~500 expected arrivals.
@@ -228,12 +277,11 @@ func TestOpenLoopArrivals(t *testing.T) {
 }
 
 func TestHTTPLoadLatencyRecorded(t *testing.T) {
-	loop := sim.NewLoop()
-	netw := NewNetwork(loop, 20*sim.Microsecond)
+	loop, _, port := oneDomain(20 * sim.Microsecond)
 	k := kernel.New(loop, kernel.Config{Cores: 1, Mode: kernel.Fastsocket, Feat: kernel.FullFastsocket()})
-	netw.AttachKernel(k)
+	port.AttachKernel(k)
 	NewWebServer(k, WebServerConfig{}).Start()
-	cli := NewHTTPLoad(loop, netw, HTTPLoadConfig{Targets: serverTargets(k, 80), Concurrency: 4})
+	cli := NewHTTPLoad(loop, port, HTTPLoadConfig{Targets: serverTargets(k, 80), Concurrency: 4})
 	cli.Start()
 	loop.RunUntil(20 * sim.Millisecond)
 	if cli.Latencies.Count() == 0 {
@@ -250,8 +298,7 @@ func TestHTTPLoadLatencyRecorded(t *testing.T) {
 
 func floodBed(t *testing.T, synCookies bool) (*sim.Loop, *HTTPLoad, *SYNFlood, *kernel.Kernel) {
 	t.Helper()
-	loop := sim.NewLoop()
-	netw := NewNetwork(loop, 20*sim.Microsecond)
+	loop, _, port := oneDomain(20 * sim.Microsecond)
 	params := tcp.DefaultParams()
 	params.SynBacklog = 64 // small queue so the flood bites quickly
 	params.SynCookies = synCookies
@@ -261,15 +308,15 @@ func floodBed(t *testing.T, synCookies bool) (*sim.Loop, *HTTPLoad, *SYNFlood, *
 		Feat:  kernel.FullFastsocket(),
 		TCP:   params,
 	})
-	netw.AttachKernel(k)
+	port.AttachKernel(k)
 	NewWebServer(k, WebServerConfig{}).Start()
-	cli := NewHTTPLoad(loop, netw, HTTPLoadConfig{
+	cli := NewHTTPLoad(loop, port, HTTPLoadConfig{
 		Targets:     serverTargets(k, 80),
 		Concurrency: 8,
 		RTO:         20 * sim.Millisecond, // fail fast in the test window
 		MaxSYNRetry: 2,
 	})
-	flood := NewSYNFlood(loop, netw, SYNFloodConfig{
+	flood := NewSYNFlood(loop, port, SYNFloodConfig{
 		Target: netproto.Addr{IP: k.IPs()[0], Port: 80},
 		Rate:   200000,
 	})
@@ -311,12 +358,11 @@ func TestSynCookiesKeepServiceAliveUnderFlood(t *testing.T) {
 }
 
 func TestForgedCookieACKGetsRST(t *testing.T) {
-	loop := sim.NewLoop()
-	netw := NewNetwork(loop, 10*sim.Microsecond)
+	loop, _, port := oneDomain(10 * sim.Microsecond)
 	params := tcp.DefaultParams()
 	params.SynCookies = true
 	k := kernel.New(loop, kernel.Config{Cores: 1, Mode: kernel.Fastsocket, Feat: kernel.FullFastsocket(), TCP: params})
-	netw.AttachKernel(k)
+	port.AttachKernel(k)
 	NewWebServer(k, WebServerConfig{}).Start()
 	loop.RunUntil(sim.Millisecond)
 	// An ACK with a bogus cookie for a connection that never existed.

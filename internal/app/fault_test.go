@@ -13,8 +13,7 @@ import (
 // only when the test says so (Concurrency 0, open() called directly).
 func newFaultBed(t *testing.T, plan *fault.Plan) (*testbed, *WebServer) {
 	t.Helper()
-	loop := sim.NewLoop()
-	net := NewNetwork(loop, 20*sim.Microsecond)
+	loop, net, port := oneDomain(20 * sim.Microsecond)
 	k := kernel.New(loop, kernel.Config{
 		Cores: 1,
 		Mode:  kernel.Fastsocket,
@@ -22,10 +21,10 @@ func newFaultBed(t *testing.T, plan *fault.Plan) (*testbed, *WebServer) {
 		Seed:  11,
 		Fault: plan,
 	})
-	net.AttachKernel(k)
+	port.AttachKernel(k)
 	srv := NewWebServer(k, WebServerConfig{})
 	srv.Start()
-	cli := NewHTTPLoad(loop, net, HTTPLoadConfig{
+	cli := NewHTTPLoad(loop, port, HTTPLoadConfig{
 		Targets:    serverTargets(k, 80),
 		Retransmit: true,
 		// Slower than the server's 200ms InitialRTO, so a lost SYN-ACK
@@ -62,11 +61,10 @@ func TestRetransmitAccounting(t *testing.T) {
 		t.Fatalf("faulty run: completed=%d errors=%d, want 1/0",
 			faulty.client.Completed, faulty.client.Errors)
 	}
-	eng := faulty.k.Faults()
-	if eng == nil {
+	if faulty.k.Faults() == nil {
 		t.Fatal("fault engine not attached")
 	}
-	if got := eng.Stats().LinkDrops; got != 1 {
+	if got := faulty.net.FaultStats().LinkDrops; got != 1 {
 		t.Fatalf("LinkDrops = %d, want 1", got)
 	}
 	if faultyStats.RetransSegs != 1 {

@@ -3,6 +3,7 @@ package app
 import (
 	"testing"
 
+	"fastsocket/internal/fault"
 	"fastsocket/internal/kernel"
 	"fastsocket/internal/netproto"
 	"fastsocket/internal/nic"
@@ -30,13 +31,12 @@ func serverTargets(k *kernel.Kernel, port netproto.Port) []netproto.Addr {
 
 func newWebBed(t *testing.T, cfg kernel.Config, concurrency int) (*testbed, *WebServer) {
 	t.Helper()
-	loop := sim.NewLoop()
-	net := NewNetwork(loop, 20*sim.Microsecond)
+	loop, net, port := oneDomain(20 * sim.Microsecond)
 	k := kernel.New(loop, cfg)
-	net.AttachKernel(k)
+	port.AttachKernel(k)
 	srv := NewWebServer(k, WebServerConfig{})
 	srv.Start()
-	cli := NewHTTPLoad(loop, net, HTTPLoadConfig{
+	cli := NewHTTPLoad(loop, port, HTTPLoadConfig{
 		Targets:     serverTargets(k, 80),
 		Concurrency: concurrency,
 	})
@@ -45,15 +45,14 @@ func newWebBed(t *testing.T, cfg kernel.Config, concurrency int) (*testbed, *Web
 
 func newProxyBed(t *testing.T, cfg kernel.Config, concurrency int) (*testbed, *Proxy) {
 	t.Helper()
-	loop := sim.NewLoop()
-	net := NewNetwork(loop, 20*sim.Microsecond)
+	loop, net, port := oneDomain(20 * sim.Microsecond)
 	k := kernel.New(loop, cfg)
-	net.AttachKernel(k)
+	port.AttachKernel(k)
 	backendAddr := netproto.Addr{IP: netproto.IPv4(10, 3, 0, 1), Port: 80}
-	be := NewBackend(loop, net, BackendConfig{Addr: backendAddr})
+	be := NewBackend(loop, port, BackendConfig{Addr: backendAddr})
 	px := NewProxy(k, ProxyConfig{Backends: []netproto.Addr{backendAddr}})
 	px.Start()
-	cli := NewHTTPLoad(loop, net, HTTPLoadConfig{
+	cli := NewHTTPLoad(loop, port, HTTPLoadConfig{
 		Targets:     serverTargets(k, 80),
 		Concurrency: concurrency,
 	})
@@ -275,11 +274,16 @@ func TestFastsocketAcceptBalance(t *testing.T) {
 
 func TestPacketLossRecovery(t *testing.T) {
 	// The kernel's retransmission machinery recovers from moderate
-	// random loss; throughput continues.
-	cfg := kernel.Config{Cores: 2, Mode: kernel.Fastsocket, Feat: kernel.FullFastsocket()}
+	// wire loss (a 1% link-drop plan each way); throughput continues.
+	cfg := kernel.Config{
+		Cores: 2, Mode: kernel.Fastsocket, Feat: kernel.FullFastsocket(),
+		Fault: &fault.Plan{C2S: fault.LinkFaults{Drop: 0.01}, S2C: fault.LinkFaults{Drop: 0.01}},
+	}
 	tb, _ := newWebBed(t, cfg, 16)
-	tb.net.SetLoss(0.01)
 	tb.run(300 * sim.Millisecond)
+	if tb.net.FaultStats().LinkDrops == 0 {
+		t.Fatal("no segment was dropped; the test is vacuous")
+	}
 	if tb.client.Completed < 50 {
 		t.Errorf("completed only %d fetches under 1%% loss", tb.client.Completed)
 	}
@@ -302,15 +306,14 @@ func TestPacketTraceObservesHandshake(t *testing.T) {
 	// Attach a tcpdump-style ring to the kernel and verify a full
 	// connection exchange appears on the wire in order.
 	cfg := kernel.Config{Cores: 1, Mode: kernel.Fastsocket, Feat: kernel.FullFastsocket()}
-	loop := sim.NewLoop()
-	netw := NewNetwork(loop, 20*sim.Microsecond)
+	loop, _, port := oneDomain(20 * sim.Microsecond)
 	k := kernel.New(loop, cfg)
-	netw.AttachKernel(k)
+	port.AttachKernel(k)
 	ring := trace.NewRing(4096, loop.Now, nil)
 	k.SetTracer(ring)
 	srv := NewWebServer(k, WebServerConfig{})
 	srv.Start()
-	cli := NewHTTPLoad(loop, netw, HTTPLoadConfig{
+	cli := NewHTTPLoad(loop, port, HTTPLoadConfig{
 		Targets:     serverTargets(k, 80),
 		Concurrency: 1,
 	})

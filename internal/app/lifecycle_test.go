@@ -15,8 +15,7 @@ import (
 // fast.
 func newLifeBed(t *testing.T, plan *fault.Plan, concurrency int) *testbed {
 	t.Helper()
-	loop := sim.NewLoop()
-	net := NewNetwork(loop, 20*sim.Microsecond)
+	loop, net, port := oneDomain(20 * sim.Microsecond)
 	k := kernel.New(loop, kernel.Config{
 		Cores: 1,
 		Mode:  kernel.Fastsocket,
@@ -24,9 +23,9 @@ func newLifeBed(t *testing.T, plan *fault.Plan, concurrency int) *testbed {
 		Seed:  11,
 		Fault: plan,
 	})
-	net.AttachKernel(k)
+	port.AttachKernel(k)
 	NewWebServer(k, WebServerConfig{}).Start()
-	cli := NewHTTPLoad(loop, net, HTTPLoadConfig{
+	cli := NewHTTPLoad(loop, port, HTTPLoadConfig{
 		Targets:     serverTargets(k, 80),
 		Concurrency: concurrency,
 		Retransmit:  true,

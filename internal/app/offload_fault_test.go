@@ -67,15 +67,14 @@ func sortChunks(cs []wireChunk) {
 	})
 }
 
-// faultWire builds a legacy fabric with an armed fault engine and a
-// chunk recorder on the receiver IP.
-func faultWire(plan fault.Plan, mss int) (*sim.Loop, *Network, *chunkRecorder) {
-	loop := sim.NewLoop()
-	net := NewNetwork(loop, 20*sim.Microsecond)
+// faultWire builds a one-domain fabric with an armed fault engine and
+// a chunk recorder on the receiver IP.
+func faultWire(plan fault.Plan, mss int) (*sim.Loop, *Network, *Port, *chunkRecorder) {
+	loop, net, port := oneDomain(20 * sim.Microsecond)
 	net.faults = fault.NewEngine(11, plan)
 	rec := &chunkRecorder{loop: loop, mss: mss}
-	net.Attach(rec, netproto.IPv4(10, 2, 0, 1))
-	return loop, net, rec
+	port.Attach(rec, netproto.IPv4(10, 2, 0, 1))
+	return loop, net, port, rec
 }
 
 func bulkPayload(n int) []byte {
@@ -106,7 +105,7 @@ func TestTSOFaultDecisionsMatchOffloadsOff(t *testing.T) {
 			payload := bulkPayload(tc.bytes)
 
 			// Offloads on: hand the wire TSOMaxBytes-sized supers.
-			loopOn, netOn, recOn := faultWire(plan, mss)
+			loopOn, netOn, portOn, recOn := faultWire(plan, mss)
 			superMax := 44 * mss
 			for off := 0; off < len(payload); off += superMax {
 				end := off + superMax
@@ -120,18 +119,18 @@ func TestTSOFaultDecisionsMatchOffloadsOff(t *testing.T) {
 				if end-off > mss {
 					p.GSOSize = mss
 				}
-				netOn.Send(p)
+				portOn.Send(p)
 			}
 			loopOn.Run()
 
 			// Offloads off: the same bytes as a train of MSS packets.
-			loopOff, netOff, recOff := faultWire(plan, mss)
+			loopOff, netOff, portOff, recOff := faultWire(plan, mss)
 			for off := 0; off < len(payload); off += mss {
 				end := off + mss
 				if end > len(payload) {
 					end = len(payload)
 				}
-				netOff.Send(&netproto.Packet{
+				portOff.Send(&netproto.Packet{
 					Src: src, Dst: dst, Flags: netproto.PSH | netproto.ACK,
 					Seq: 1000 + uint32(off), Ack: 77, Payload: payload[off:end],
 				})
@@ -165,11 +164,10 @@ func TestTSOFaultDecisionsMatchOffloadsOff(t *testing.T) {
 // copy), and its bytes are the original payload.
 func TestTSOCleanWireSingleArrival(t *testing.T) {
 	const mss = 1460
-	loop := sim.NewLoop()
-	net := NewNetwork(loop, 20*sim.Microsecond)
+	loop, _, port := oneDomain(20 * sim.Microsecond)
 	var got *netproto.Packet
 	rec := endpointFunc(func(p *netproto.Packet) { got = p })
-	net.Attach(rec, netproto.IPv4(10, 2, 0, 1))
+	port.Attach(rec, netproto.IPv4(10, 2, 0, 1))
 	payload := bulkPayload(44 * mss)
 	p := &netproto.Packet{
 		Src:     netproto.Addr{IP: netproto.IPv4(10, 1, 0, 1), Port: 80},
@@ -179,7 +177,7 @@ func TestTSOCleanWireSingleArrival(t *testing.T) {
 		Payload: payload,
 		GSOSize: mss,
 	}
-	net.Send(p)
+	port.Send(p)
 	loop.Run()
 	if got != p {
 		t.Fatal("clean super-segment was split or copied on a fault-free wire")

@@ -8,6 +8,7 @@ import (
 	"fastsocket/internal/cpu"
 	"fastsocket/internal/kernel"
 	"fastsocket/internal/netproto"
+	"fastsocket/internal/shard"
 	"fastsocket/internal/sim"
 	"fastsocket/internal/stats"
 	"fastsocket/internal/workload"
@@ -76,8 +77,9 @@ type fig3server struct {
 }
 
 func newFig3Server(mode kernel.Mode, feat kernel.Features, o Figure3Options, d workload.Diurnal) *fig3server {
-	loop := sim.NewLoop()
-	netw := app.NewNetwork(loop, 50*sim.Microsecond)
+	eng := shard.NewEngine(shard.Config{Lookahead: 50 * sim.Microsecond})
+	loop := eng.AddDomain("bed")
+	port := app.NewShardedNetwork(eng, 50*sim.Microsecond).Port(0)
 	k := kernel.New(loop, kernel.Config{
 		Name:  "haproxy-" + mode.String(),
 		Cores: o.Cores,
@@ -88,13 +90,13 @@ func newFig3Server(mode kernel.Mode, feat kernel.Features, o Figure3Options, d w
 		// Committed outputs predate the bounded-ring default.
 		RXRingSize: 8192,
 	})
-	netw.AttachKernel(k)
+	port.AttachKernel(k)
 	backendAddr := netproto.Addr{IP: netproto.IPv4(10, 3, 0, 1), Port: 80}
 	// Production traffic is heavier than the synthetic benchmark:
 	// full-size Weibo responses and a proxy configured with ACLs,
 	// header rewriting, and logging (user-space work both kernels pay
 	// alike, diluting the kernel-side difference relative to Fig. 4b).
-	app.NewBackend(loop, netw, app.BackendConfig{
+	app.NewBackend(loop, port, app.BackendConfig{
 		Addr:        backendAddr,
 		ResponseLen: netproto.DefaultResponseLen,
 	})
@@ -103,7 +105,7 @@ func newFig3Server(mode kernel.Mode, feat kernel.Features, o Figure3Options, d w
 		Costs:    &app.AppCosts{ParseRequest: 40000, BuildResponse: 10000, Bookkeeping: 50000},
 	})
 	px.Start()
-	cli := app.NewHTTPLoad(loop, netw, app.HTTPLoadConfig{
+	cli := app.NewHTTPLoad(loop, port, app.HTTPLoadConfig{
 		Targets: []netproto.Addr{{IP: netproto.IPv4(10, 1, 0, 1), Port: 80}},
 		Seed:    o.Seed + 7,
 	})

@@ -100,14 +100,11 @@ type Options struct {
 	// machine under test and switches the load generator into its
 	// loss-tolerant (retransmitting) mode.
 	Fault *fault.Plan
-	// Shards selects the execution engine for each simulation. 0 (the
-	// default) is the legacy single-loop scheduler every committed
-	// experiment output was produced on. >= 1 runs the bed's coupling
-	// domains (server machine, client generator, backend origin) on
-	// the conservative-lookahead shard engine with that many worker
-	// threads; Shards=1 is the serial reference the digest-equality
-	// suite compares against, and any Shards>=1 value yields
-	// bit-identical results by construction.
+	// Shards is the number of worker threads the shard engine steps
+	// each simulation's coupling domains (server machine, client
+	// generator, backend origin) on. 0 and 1 both run the domains
+	// serially on the caller; every value yields bit-identical
+	// results by construction.
 	Shards int
 	// Offloads enables NIC offload modeling on the machine under test.
 	// Zero value = all off (the committed-output configuration).
@@ -162,10 +159,9 @@ type Measurement struct {
 	P99Conn sim.Time
 	// SNMP holds the window's netstat-style counter deltas.
 	SNMP stats.SNMP
-	// MailPosted counts cross-shard mailbox injections during the run
-	// (0 on the legacy engine). It is diagnostic — identical between
-	// Shards=1 and Shards>1 — and deliberately outside the digest, so
-	// legacy and sharded digests stay comparable.
+	// MailPosted counts cross-shard mailbox injections during the run.
+	// It is diagnostic — identical at every worker count — and
+	// deliberately outside the digest.
 	MailPosted uint64
 }
 
@@ -197,82 +193,42 @@ func StockKernels() []KernelSpec {
 }
 
 // fabricDelay is the testbed LAN's one-way latency (the paper's
-// testbed is a 10GE LAN); under the shard engine it doubles as the
+// testbed is a 10GE LAN); it doubles as the shard engine's
 // conservative lookahead window.
 const fabricDelay = 20 * sim.Microsecond
 
-// fabric is the execution substrate of one bed: either a legacy
-// single loop carrying every endpoint, or a shard.Engine with one
-// domain per coupling domain (machine / traffic generator). Domains
-// are named at construction; index order is the deterministic
+// fabric is the execution substrate of one bed: a shard.Engine with
+// one domain per coupling domain (machine / traffic generator).
+// Domains are named at construction; index order is the deterministic
 // tie-break order for simultaneous cross-domain arrivals, so it is
 // part of the simulated configuration.
 type fabric struct {
 	netw  *app.Network
-	eng   *shard.Engine // nil in legacy mode
-	loops []*sim.Loop   // per domain (all the same loop in legacy mode)
-	wires []app.Wire    // per domain transmit handle
+	eng   *shard.Engine
+	loops []*sim.Loop // per domain
 }
 
-func newFabric(shards int, names ...string) *fabric {
-	f := &fabric{}
-	if shards >= 1 {
-		f.eng = shard.NewEngine(shard.Config{Lookahead: fabricDelay, Workers: shards})
-		for _, nm := range names {
-			f.loops = append(f.loops, f.eng.AddDomain(nm))
-		}
-		f.netw = app.NewShardedNetwork(f.eng, fabricDelay)
-		for i := range names {
-			f.wires = append(f.wires, f.netw.Port(i))
-		}
-	} else {
-		loop := sim.NewLoop()
-		f.netw = app.NewNetwork(loop, fabricDelay)
-		for range names {
-			f.loops = append(f.loops, loop)
-			f.wires = append(f.wires, f.netw)
-		}
+func newFabric(workers int, names ...string) *fabric {
+	f := &fabric{eng: shard.NewEngine(shard.Config{Lookahead: fabricDelay, Workers: workers})}
+	for _, nm := range names {
+		f.loops = append(f.loops, f.eng.AddDomain(nm))
 	}
+	f.netw = app.NewShardedNetwork(f.eng, fabricDelay)
 	return f
-}
-
-func (f *fabric) attachKernel(dom int, k *kernel.Kernel) {
-	if f.eng != nil {
-		f.netw.Port(dom).AttachKernel(k)
-	} else {
-		f.netw.AttachKernel(k)
-	}
 }
 
 // run advances the whole bed to absolute time t.
 func (f *fabric) run(t sim.Time) {
-	if f.eng != nil {
-		f.netw.Freeze()
-		f.eng.Run(t)
-	} else {
-		f.loops[0].RunUntil(t)
-	}
+	f.netw.Freeze()
+	f.eng.Run(t)
 }
 
-// mailPosted reports cross-domain mailbox traffic so far.
-func (f *fabric) mailPosted() uint64 {
-	if f.eng == nil {
-		return 0
-	}
-	return f.eng.Stats().Posted
-}
-
-// close releases engine worker threads (a no-op in legacy mode).
-func (f *fabric) close() {
-	if f.eng != nil {
-		f.eng.Close()
-	}
-}
+// close releases engine worker threads.
+func (f *fabric) close() { f.eng.Close() }
 
 // testbed is one fully wired machine-under-test.
 type testbed struct {
 	fab    *fabric
-	net    *app.Network
 	k      *kernel.Kernel
 	client *app.HTTPLoad
 }
@@ -290,7 +246,6 @@ func buildBedWith(spec KernelSpec, bench Bench, cores int, o Options, mutate fun
 		names = append(names, "backend")
 	}
 	fab := newFabric(o.Shards, names...)
-	netw := fab.netw
 	cfg := kernel.Config{
 		Name:          spec.Label,
 		Cores:         cores,
@@ -314,7 +269,7 @@ func buildBedWith(spec KernelSpec, bench Bench, cores int, o Options, mutate fun
 		mutate(&cfg)
 	}
 	k := kernel.New(fab.loops[0], cfg)
-	fab.attachKernel(0, k)
+	fab.netw.Port(0).AttachKernel(k)
 
 	switch bench {
 	case WebBench:
@@ -326,7 +281,7 @@ func buildBedWith(spec KernelSpec, bench Bench, cores int, o Options, mutate fun
 		srv.Start()
 	case ProxyBench:
 		backendAddr := netproto.Addr{IP: netproto.IPv4(10, 3, 0, 1), Port: 80}
-		app.NewBackend(fab.loops[2], fab.wires[2], app.BackendConfig{Addr: backendAddr})
+		app.NewBackend(fab.loops[2], fab.netw.Port(2), app.BackendConfig{Addr: backendAddr})
 		px := app.NewProxy(k, app.ProxyConfig{Backends: []netproto.Addr{backendAddr}})
 		px.Start()
 	}
@@ -349,8 +304,8 @@ func buildBedWith(spec KernelSpec, bench Bench, cores int, o Options, mutate fun
 		lcfg.ResponseLen = bulkResponseLen
 		lcfg.ChunkBytes = bulkChunkBytes
 	}
-	cli := app.NewHTTPLoad(fab.loops[1], fab.wires[1], lcfg)
-	return &testbed{fab: fab, net: netw, k: k, client: cli}
+	cli := app.NewHTTPLoad(fab.loops[1], fab.netw.Port(1), lcfg)
+	return &testbed{fab: fab, k: k, client: cli}
 }
 
 // Measure runs one spec at one core count and reports the window.
@@ -377,7 +332,7 @@ func measureBed(tb *testbed, o Options) Measurement {
 
 	tb.fab.run(o.Warmup + o.Window)
 
-	m := Measurement{Window: o.Window, MailPosted: tb.fab.mailPosted()}
+	m := Measurement{Window: o.Window, MailPosted: tb.fab.eng.Stats().Posted}
 	m.Throughput = float64(tb.client.Completed-startCompleted) / o.Window.Seconds()
 	m.Utilization = cpu.Utilization(startBusy, tb.k.Machine().BusySnapshot(), o.Window)
 	cacheDelta := tb.k.Cache().Stats().Sub(startCache)

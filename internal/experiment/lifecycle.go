@@ -105,7 +105,7 @@ func lifecycleBed(cores int, plan *fault.Plan, o Options) (*fabric, *kernel.Kern
 		RXRingSize: 8192,
 		Fault:      plan,
 	})
-	fab.attachKernel(0, k)
+	fab.netw.Port(0).AttachKernel(k)
 	app.NewWebServer(k, app.WebServerConfig{}).Start()
 	var targets []netproto.Addr
 	for _, ip := range k.IPs() {
@@ -118,7 +118,7 @@ func lifecycleBed(cores int, plan *fault.Plan, o Options) (*fabric, *kernel.Kern
 	if rto < sim.Millisecond {
 		rto = sim.Millisecond
 	}
-	cli := app.NewHTTPLoad(fab.loops[1], fab.wires[1], app.HTTPLoadConfig{
+	cli := app.NewHTTPLoad(fab.loops[1], fab.netw.Port(1), app.HTTPLoadConfig{
 		Targets:     targets,
 		Concurrency: o.ConcurrencyPerCore * cores,
 		Seed:        o.Seed + 99,

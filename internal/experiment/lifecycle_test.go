@@ -115,28 +115,17 @@ func TestLifecycleZeroPlanInert(t *testing.T) {
 
 // TestShardDigestLifecycle covers the lifecycle experiments on the
 // conservative-lookahead engine: sweeps, restarts and the client retry
-// plane must shard exactly, and the legacy single-loop engine (the
-// committed-output path) must agree with the serial shard reference —
-// the lifecycle schedule is tie-free at this scale. Picked up by
-// `make shardgate` (-race).
+// plane must shard exactly. Picked up by `make shardgate` (-race).
 func TestShardDigestLifecycle(t *testing.T) {
 	o := shardOpts(1)
 	oN := o
 	oN.Shards = 4
-	oL := o
-	oL.Shards = 0 // legacy single-loop engine (the committed-output path)
 	ref := digestAny(CrashRecovery(o))
 	if got := digestAny(CrashRecovery(oN)); got != ref {
 		t.Errorf("CrashRecovery sharded != serial: %#x vs %#x", got, ref)
 	}
-	if legacy := digestAny(CrashRecovery(oL)); legacy != ref {
-		t.Errorf("CrashRecovery legacy != serial shard: %#x vs %#x", legacy, ref)
-	}
 	ref = digestAny(RollingRestart(o))
 	if got := digestAny(RollingRestart(oN)); got != ref {
 		t.Errorf("RollingRestart sharded != serial: %#x vs %#x", got, ref)
-	}
-	if legacy := digestAny(RollingRestart(oL)); legacy != ref {
-		t.Errorf("RollingRestart legacy != serial shard: %#x vs %#x", legacy, ref)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fastsocket/internal/app"
 	"fastsocket/internal/kernel"
 	"fastsocket/internal/netproto"
+	"fastsocket/internal/shard"
 	"fastsocket/internal/sim"
 )
 
@@ -49,8 +50,9 @@ func LongLived(cores, requestsPerConn int, o Options) LongLivedResult {
 }
 
 func measureKeepAlive(spec KernelSpec, cores, reqsPerConn int, o Options) float64 {
-	loop := sim.NewLoop()
-	netw := app.NewNetwork(loop, 20*sim.Microsecond)
+	eng := shard.NewEngine(shard.Config{Lookahead: 20 * sim.Microsecond})
+	loop := eng.AddDomain("bed")
+	port := app.NewShardedNetwork(eng, 20*sim.Microsecond).Port(0)
 	k := kernel.New(loop, kernel.Config{
 		Name:    spec.Label,
 		Cores:   cores,
@@ -62,14 +64,14 @@ func measureKeepAlive(spec KernelSpec, cores, reqsPerConn int, o Options) float6
 		// Committed outputs predate the bounded-ring default.
 		RXRingSize: 8192,
 	})
-	netw.AttachKernel(k)
+	port.AttachKernel(k)
 	srv := app.NewWebServer(k, app.WebServerConfig{KeepAlive: true})
 	srv.Start()
 	var targets []netproto.Addr
 	for _, ip := range k.IPs() {
 		targets = append(targets, netproto.Addr{IP: ip, Port: 80})
 	}
-	cli := app.NewHTTPLoad(loop, netw, app.HTTPLoadConfig{
+	cli := app.NewHTTPLoad(loop, port, app.HTTPLoadConfig{
 		Targets:         targets,
 		Concurrency:     o.ConcurrencyPerCore * cores,
 		RequestsPerConn: reqsPerConn,

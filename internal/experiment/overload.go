@@ -100,14 +100,14 @@ func runOverload(label string, cookies bool, cores int, capacity float64, mults 
 		// under the ramp.
 		RXRingSize: 4096,
 	})
-	fab.attachKernel(0, k)
+	fab.netw.Port(0).AttachKernel(k)
 	app.NewWebServer(k, app.WebServerConfig{}).Start()
 	var targets []netproto.Addr
 	for _, ip := range k.IPs() {
 		targets = append(targets, netproto.Addr{IP: ip, Port: 80})
 	}
 	legitRate := overloadLegitFrac * capacity
-	cli := app.NewHTTPLoad(fab.loops[1], fab.wires[1], app.HTTPLoadConfig{
+	cli := app.NewHTTPLoad(fab.loops[1], fab.netw.Port(1), app.HTTPLoadConfig{
 		Targets:     targets,
 		Concurrency: 0, // open loop: arrivals do not wait for departures
 		RTO:         30 * sim.Millisecond,
@@ -116,7 +116,7 @@ func runOverload(label string, cookies bool, cores int, capacity float64, mults 
 		Seed:        o.Seed + 99,
 	})
 	cli.StartOpenLoop(func(sim.Time) float64 { return legitRate })
-	flood := app.NewSYNFlood(fab.loops[2], fab.wires[2], app.SYNFloodConfig{
+	flood := app.NewSYNFlood(fab.loops[2], fab.netw.Port(2), app.SYNFloodConfig{
 		Target: targets[0],
 		Rate:   1, // real per-step rate set below; Start is deferred until needed
 		Seed:   o.Seed + 666,

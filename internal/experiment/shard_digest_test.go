@@ -15,20 +15,6 @@ import (
 // any Shards>1 run must match it exactly. Run under -race (make
 // shardgate) this also proves the barrier protocol publishes every
 // cross-domain effect correctly.
-//
-// Where the event schedule is tie-free the suite additionally pins a
-// stronger property: the domain-decomposed runs reproduce the legacy
-// single-loop engine's digests bit-for-bit, because the fabric delay
-// quantizes cross-domain arrivals identically on both engines and
-// per-sender fault views draw the same per-flow decision sequences as
-// the single engine (fault.SenderView). That identity is NOT
-// guaranteed in general: when a fabric arrival and a locally
-// scheduled event land on the same nanosecond, the legacy engine
-// interleaves them by global insertion order while the domain engine
-// orders mailed arrivals by the (time, src shard, src seq) barrier
-// rule — both deterministic, but engine-specific (DESIGN.md §4.8).
-// Committed experiment outputs are unaffected: Shards=0 keeps the
-// legacy engine.
 
 // digestAny folds any experiment result into one FNV-1a digest via
 // its printed representation (fmt sorts map keys, so the rendering is
@@ -67,10 +53,6 @@ func TestShardDigestMeasure(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := StockKernels()[2] // fastsocket exercises every steering path
-			oL := small()
-			oL.Fault = tc.fault
-			legacy := Measure(spec, tc.bench, 4, oL)
-
 			o1 := shardOpts(1)
 			o1.Fault = tc.fault
 			ref := Measure(spec, tc.bench, 4, o1)
@@ -92,10 +74,6 @@ func TestShardDigestMeasure(t *testing.T) {
 					t.Errorf("Shards=%d mail %d, serial reference %d", shards, got.MailPosted, ref.MailPosted)
 				}
 			}
-			if digestOf(ref) != digestOf(legacy) {
-				t.Errorf("sharded engine diverged from the legacy single-loop engine: %#x vs %#x",
-					digestOf(ref), digestOf(legacy))
-			}
 		})
 	}
 }
@@ -107,9 +85,6 @@ func TestShardDigestFigure4(t *testing.T) {
 	got := digestAny(Figure4(WebBench, cores, shardOpts(4)))
 	if got != ref {
 		t.Errorf("figure4 sharded != serial: %#x vs %#x", got, ref)
-	}
-	if legacy := digestAny(Figure4(WebBench, cores, small())); ref != legacy {
-		t.Errorf("figure4 sharded != legacy: %#x vs %#x", ref, legacy)
 	}
 }
 
@@ -142,10 +117,6 @@ func TestShardDigestTable1(t *testing.T) {
 
 // TestShardDigestLossSweep covers the fault-plane sweep: per-sender
 // fault views must reproduce the serial engine's per-flow decisions.
-// No legacy-equality assertion here: the fastsocket/2%-drop cell has
-// a same-nanosecond tie between a fabric arrival and a server-local
-// event, which the two engines interleave by their own (both
-// deterministic) rules — see the package comment above.
 func TestShardDigestLossSweep(t *testing.T) {
 	cores := []int{4}
 	rates := []float64{0, 0.02}

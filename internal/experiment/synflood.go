@@ -7,6 +7,7 @@ import (
 	"fastsocket/internal/app"
 	"fastsocket/internal/kernel"
 	"fastsocket/internal/netproto"
+	"fastsocket/internal/shard"
 	"fastsocket/internal/sim"
 	"fastsocket/internal/tcp"
 )
@@ -50,8 +51,9 @@ func SynFlood(floodRate float64, o Options) SynFloodResult {
 
 func runFlood(label string, cookies bool, rate float64, o Options) SynFloodRow {
 	const cores = 8
-	loop := sim.NewLoop()
-	netw := app.NewNetwork(loop, 20*sim.Microsecond)
+	eng := shard.NewEngine(shard.Config{Lookahead: 20 * sim.Microsecond})
+	loop := eng.AddDomain("bed")
+	port := app.NewShardedNetwork(eng, 20*sim.Microsecond).Port(0)
 	params := tcp.DefaultParams()
 	params.SynBacklog = 256
 	params.SynCookies = cookies
@@ -64,13 +66,13 @@ func runFlood(label string, cookies bool, rate float64, o Options) SynFloodRow {
 		// Committed outputs predate the bounded-ring default.
 		RXRingSize: 8192,
 	})
-	netw.AttachKernel(k)
+	port.AttachKernel(k)
 	app.NewWebServer(k, app.WebServerConfig{}).Start()
 	var targets []netproto.Addr
 	for _, ip := range k.IPs() {
 		targets = append(targets, netproto.Addr{IP: ip, Port: 80})
 	}
-	cli := app.NewHTTPLoad(loop, netw, app.HTTPLoadConfig{
+	cli := app.NewHTTPLoad(loop, port, app.HTTPLoadConfig{
 		Targets:     targets,
 		Concurrency: 100 * cores,
 		RTO:         30 * sim.Millisecond,
@@ -89,7 +91,7 @@ func runFlood(label string, cookies bool, rate float64, o Options) SynFloodRow {
 	}
 
 	// Attack window.
-	flood := app.NewSYNFlood(loop, netw, app.SYNFloodConfig{
+	flood := app.NewSYNFlood(loop, port, app.SYNFloodConfig{
 		Target: targets[0],
 		Rate:   rate,
 		Seed:   o.Seed + 666,

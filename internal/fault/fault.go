@@ -185,14 +185,15 @@ func (s Stats) Add(o Stats) Stats {
 }
 
 // SenderView derives an engine sharing this one's seed and plan but
-// with private occurrence and counter state. The sharded fabric gives
-// each sending domain its own view so LinkAction stays thread-free:
+// with private occurrence and counter state. The fabric gives each
+// sending domain its own view so LinkAction stays thread-free:
 // decisions are keyed per (flow, direction, seq, occurrence) and all
 // of a flow-direction's transmissions originate from one domain, so
 // every key's occurrence sequence — and therefore every decision — is
-// identical to the single-engine serial run. The only semantic drift
-// is DropFirst, which becomes per-sender under views (no committed
-// plan uses it together with sharding).
+// the same whatever the domain split. DropFirst counts per view: on a
+// one-domain bed the single view sees every segment, so it drops
+// exactly the first N as before; on a multi-domain bed each sender
+// drops its own first N (no committed plan uses it there).
 func (e *Engine) SenderView() *Engine {
 	if e == nil {
 		return nil
@@ -307,7 +308,7 @@ func CorruptCopy(p *netproto.Packet) *netproto.Packet {
 // fire at fixed simulated times and the policies are declarative — so
 // the determinism contract is trivial: the schedule is part of the
 // configuration, independent of cross-flow interleaving, and identical
-// under the legacy and sharded engines by construction.
+// at any shard worker count by construction.
 
 // LifecycleAction is the kind of one scheduled lifecycle event.
 type LifecycleAction int

@@ -6,8 +6,8 @@ package kernel
 // ordinary kernel work on core 0 (or the worker's core), at fixed
 // simulated times, so the plane inherits the simulator's determinism
 // with no extra contract: no draws, no map iteration (sweeps walk the
-// flow table in sorted tuple order), and identical behaviour under
-// the legacy and sharded engines.
+// flow table in sorted tuple order), and identical behaviour at any
+// shard worker count.
 //
 // Semantics, by event kind:
 //

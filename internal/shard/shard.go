@@ -161,16 +161,6 @@ func (e *Engine) Domains() int { return len(e.loops) }
 // Loop returns domain i's scheduler.
 func (e *Engine) Loop(i int) *sim.Loop { return e.loops[i] }
 
-// IndexOf returns the domain index owning l, or -1.
-func (e *Engine) IndexOf(l *sim.Loop) int {
-	for i, d := range e.loops {
-		if d == l {
-			return i
-		}
-	}
-	return -1
-}
-
 // Now is the last completed barrier time: every domain's clock is at
 // least here, and no event before it remains anywhere.
 func (e *Engine) Now() sim.Time { return e.now }

@@ -12,6 +12,7 @@ import (
 	"fastsocket/internal/experiment"
 	"fastsocket/internal/kernel"
 	"fastsocket/internal/netproto"
+	"fastsocket/internal/shard"
 	"fastsocket/internal/sim"
 	"fastsocket/internal/sweep"
 )
@@ -139,8 +140,9 @@ type poolDigest struct {
 // outcome together with the pool counters.
 func runPooledBench(spec experiment.KernelSpec) poolDigest {
 	const cores = 4
-	loop := sim.NewLoop()
-	netw := app.NewNetwork(loop, 20*sim.Microsecond)
+	eng := shard.NewEngine(shard.Config{Lookahead: 20 * sim.Microsecond})
+	loop := eng.AddDomain("bed")
+	port := app.NewShardedNetwork(eng, 20*sim.Microsecond).Port(0)
 	k := kernel.New(loop, kernel.Config{
 		Name:  spec.Label,
 		Cores: cores,
@@ -148,10 +150,10 @@ func runPooledBench(spec experiment.KernelSpec) poolDigest {
 		Feat:  spec.Feat,
 		Seed:  1,
 	})
-	netw.AttachKernel(k)
+	port.AttachKernel(k)
 	srv := app.NewWebServer(k, app.WebServerConfig{})
 	srv.Start()
-	cli := app.NewHTTPLoad(loop, netw, app.HTTPLoadConfig{
+	cli := app.NewHTTPLoad(loop, port, app.HTTPLoadConfig{
 		Targets:     []netproto.Addr{{IP: k.IPs()[0], Port: 80}},
 		Concurrency: 50 * cores,
 		Seed:        100,

@@ -266,9 +266,9 @@ func fsmSimulCloseBed(merged *stats.FSMTrace) {
 	}
 	pb.OnEvents = func(t *cpu.Task, evs []epoll.Ready) {
 		for _, ev := range evs {
-			if fd := ev.Item.(int); fd == blfd {
+			if ev.FD == blfd {
 				for {
-					cfd, ok := pb.Accept(t, fd)
+					cfd, ok := pb.Accept(t, blfd)
 					if !ok {
 						break
 					}

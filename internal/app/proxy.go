@@ -176,7 +176,7 @@ func (w *pxWorker) conn(fd int) *pxConn {
 
 func (w *pxWorker) events(t *cpu.Task, evs []epoll.Ready) {
 	for _, ev := range evs {
-		fd := ev.Item.(int)
+		fd := ev.FD
 		if w.listenFD[fd] {
 			w.acceptLoop(t, fd)
 			continue

@@ -182,7 +182,7 @@ func (w *srvWorker) conn(fd int) *srvConn {
 
 func (w *srvWorker) events(t *cpu.Task, evs []epoll.Ready) {
 	for _, ev := range evs {
-		fd := ev.Item.(int)
+		fd := ev.FD
 		if w.listenFD[fd] {
 			w.acceptLoop(t, fd)
 			continue

@@ -35,6 +35,11 @@ type Core struct {
 	softirq []Work // high priority (interrupt context)
 	procs   []Work // normal priority (process context)
 
+	// task is the context of the running work item. A core runs one
+	// item at a time, so drain re-initialises this one Task for every
+	// item instead of allocating a fresh one.
+	task Task
+
 	// Cumulative accounting.
 	busyTime sim.Time // total busy (includes spin)
 	spinTime sim.Time // busy time wasted spinning on locks
@@ -110,13 +115,17 @@ func (c *Core) drain() {
 		return
 	}
 	start := c.loop.Now()
-	t := &Task{core: c, now: start}
+	t := &c.task
+	*t = Task{core: c, now: start}
 	c.works++
 	w(t)
 	elapsed := t.now - start
 	c.busyTime += elapsed
 	c.spinTime += t.spin
 	c.busyUntil = t.now
+	// The item is over: a *Task kept past it must fail loudly, not
+	// charge the next item's time.
+	t.core = nil
 	if c.QueueLen() > 0 {
 		c.loop.At(c.busyUntil, c.drainFn)
 	} else {
@@ -128,6 +137,10 @@ func (c *Core) drain() {
 // simulated time as the work charges costs; the owning core is busy
 // until the task's final virtual time. Task implements lock.Context
 // and cache.Context.
+//
+// A *Task is valid only while its work item runs: the core reuses the
+// same Task for its next item, and every method that reaches the core
+// panics once the item has returned.
 type Task struct {
 	core *Core
 	now  sim.Time

@@ -208,3 +208,55 @@ func TestMachineAccessors(t *testing.T) {
 		t.Error("Task.Machine mismatch")
 	}
 }
+
+// The core reuses one Task for every item: each item must still start
+// from a clean context, with its own start time and no inherited spin.
+func TestTaskReinitialisedPerItem(t *testing.T) {
+	l, m := newTestMachine(1)
+	c := m.Core(0)
+	type seen struct{ now, spin sim.Time }
+	var got []seen
+	c.Submit(func(tk *Task) {
+		got = append(got, seen{tk.Now(), tk.spin})
+		tk.Charge(100)
+		tk.Spin(50)
+	})
+	c.Submit(func(tk *Task) {
+		got = append(got, seen{tk.Now(), tk.spin})
+		tk.Charge(10)
+	})
+	l.Run()
+	want := []seen{{0, 0}, {150, 0}}
+	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("items saw (now, spin) = %v, want %v", got, want)
+	}
+	if c.SpinTime() != 50 || c.BusyTime() != 160 {
+		t.Errorf("SpinTime = %v, BusyTime = %v, want 50 and 160", c.SpinTime(), c.BusyTime())
+	}
+}
+
+// A *Task kept past its item must not silently charge the core's
+// next item.
+func TestTaskUseAfterItemPanics(t *testing.T) {
+	l, m := newTestMachine(1)
+	var kept *Task
+	m.Core(0).Submit(func(tk *Task) { kept = tk })
+	l.Run()
+	for _, c := range []struct {
+		name string
+		use  func()
+	}{
+		{"Charge", func() { kept.Charge(1) }},
+		{"CoreID", func() { kept.CoreID() }},
+		{"Defer", func() { kept.Defer(func() {}) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a finished task did not panic", c.name)
+				}
+			}()
+			c.use()
+		}()
+	}
+}

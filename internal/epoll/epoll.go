@@ -39,9 +39,12 @@ type Stats struct {
 }
 
 // Watch is one registered interest (one socket in one instance).
+// Edge-triggered watches are recycled through the instance's free
+// list once unregistered and off the ready list, so a *Watch must not
+// be used after Unregister.
 type Watch struct {
 	inst   *Instance
-	Item   any // kernel-side socket binding
+	fd     int // the registered file descriptor
 	events Events
 	queued bool
 	//fsvet:shared written only by the owning process (epoll_ctl); Notify's unlocked read races benignly — dead watches are discarded lazily at Wait
@@ -60,6 +63,13 @@ type Watch struct {
 type Instance struct {
 	Lock  *lock.SpinLock // "ep.lock"
 	ready []*Watch
+	// free parks unregistered edge-triggered watches for Register to
+	// reuse.
+	//fsvet:percore touched only by the owning process (epoll_ctl and epoll_wait), on its own core
+	free []*Watch
+	// out is Wait's result buffer, reused across calls.
+	//fsvet:percore written only by Wait, which runs on the owning process's core
+	out []Ready
 	// levels holds the level-triggered watches, probed at every Wait.
 	//fsvet:shared appended only by the owning process at registration time (epoll_ctl); Wait runs on the same owner
 	levels []*Watch
@@ -87,10 +97,18 @@ func (ep *Instance) Stats() Stats { return ep.stats }
 // SetWaker installs the owner's wakeup callback.
 func (ep *Instance) SetWaker(fn func()) { ep.waker = fn }
 
-// Register adds an item to the interest list (EPOLL_CTL_ADD).
-func (ep *Instance) Register(t *cpu.Task, item any) *Watch {
+// Register adds fd to the interest list (EPOLL_CTL_ADD), reusing a
+// parked watch when one is free.
+func (ep *Instance) Register(t *cpu.Task, fd int) *Watch {
 	t.Charge(ep.costs.Ctl)
-	return &Watch{inst: ep, Item: item}
+	if n := len(ep.free); n > 0 {
+		w := ep.free[n-1]
+		ep.free[n-1] = nil
+		ep.free = ep.free[:n-1]
+		*w = Watch{inst: ep, fd: fd}
+		return w
+	}
+	return &Watch{inst: ep, fd: fd}
 }
 
 // SetLevel makes w level-triggered: probe is consulted on every Wait
@@ -103,13 +121,25 @@ func (ep *Instance) SetLevel(w *Watch, probe func() Events) {
 }
 
 // Unregister removes the watch (EPOLL_CTL_DEL). Pending ready events
-// for it are discarded lazily at Wait time.
+// for it are discarded lazily at Wait time. An edge-triggered watch
+// is parked for reuse here if it is not queued, otherwise when Wait
+// drops it; level-triggered watches are never reused.
 func (ep *Instance) Unregister(t *cpu.Task, w *Watch) {
 	if w == nil || w.dead {
 		return
 	}
 	t.Charge(ep.costs.Ctl)
 	w.dead = true
+	if !w.queued {
+		ep.park(w)
+	}
+}
+
+// park puts a dead watch on the free list.
+func (ep *Instance) park(w *Watch) {
+	if w.level == nil {
+		ep.free = append(ep.free, w)
+	}
 }
 
 // Notify marks the watch ready with ev. It is called from the TCP
@@ -137,13 +167,14 @@ func (ep *Instance) Notify(t *cpu.Task, w *Watch, ev Events) {
 
 // Ready is one event returned by Wait.
 type Ready struct {
-	Item   any
+	FD     int
 	Events Events
 }
 
 // Wait drains up to max ready events (0 = all). If nothing is ready
 // it returns nil and marks the owner sleeping, so the next Notify
-// fires the waker.
+// fires the waker. The returned slice is the instance's reused result
+// buffer: it stays valid only until the next Wait.
 func (ep *Instance) Wait(t *cpu.Task, max int) []Ready {
 	ep.Lock.Acquire(t)
 	t.Charge(ep.costs.Wait)
@@ -165,23 +196,31 @@ func (ep *Instance) Wait(t *cpu.Task, max int) []Ready {
 	if max > 0 && n > max {
 		n = max
 	}
-	var out []Ready
+	out := ep.out[:0]
 	for i := 0; i < n; i++ {
 		w := ep.ready[i]
 		w.queued = false
 		if w.dead {
+			ep.park(w)
 			continue
 		}
 		t.Charge(ep.costs.PerEv)
-		out = append(out, Ready{Item: w.Item, Events: w.events})
+		out = append(out, Ready{FD: w.fd, Events: w.events})
 		w.events = 0
 	}
-	ep.ready = ep.ready[n:]
+	// Compact in place so the ready list keeps its capacity.
+	rest := copy(ep.ready, ep.ready[n:])
+	clear(ep.ready[rest:])
+	ep.ready = ep.ready[:rest]
+	ep.out = out
 	if len(out) == 0 && len(ep.ready) == 0 {
 		ep.sleeping = true
 	}
 	ep.stats.Delivered += uint64(len(out))
 	ep.Lock.Release(t)
+	if len(out) == 0 {
+		return nil
+	}
 	return out
 }
 

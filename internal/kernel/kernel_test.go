@@ -313,7 +313,7 @@ func TestKernelToKernelLoopback(t *testing.T) {
 	}
 	srv.OnEvents = func(tk *cpu.Task, evs []epoll.Ready) {
 		for _, ev := range evs {
-			fd := ev.Item.(int)
+			fd := ev.FD
 			if fd == listenFD {
 				for {
 					cfd, ok := srv.Accept(tk, fd)

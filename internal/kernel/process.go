@@ -40,6 +40,10 @@ type Process struct {
 	draining bool
 	//fsvet:percore read and written only by run, on the process's own core
 	wasAsleep bool
+	// runFn is p.run bound once, so a wakeup submits it without
+	// allocating a method value.
+	//fsvet:percore bound on the first schedule and never rebound; every schedule targets the process's own core
+	runFn cpu.Work
 }
 
 // NewProcess creates a worker pinned to the given core.
@@ -118,7 +122,10 @@ func (p *Process) schedule() {
 		return
 	}
 	p.scheduled = true
-	p.K.machine.Core(p.Core).Submit(p.run)
+	if p.runFn == nil {
+		p.runFn = p.run
+	}
+	p.K.machine.Core(p.Core).Submit(p.runFn)
 }
 
 //fsvet:hotpath the process event loop: epoll_wait plus the app's event handlers
@@ -494,7 +501,9 @@ func (k *Kernel) allocPort(coreID int, ip netproto.IP) (netproto.Port, bool) {
 	return 0, false
 }
 
-// Recv reads up to max bytes (0 = all available).
+// Recv reads up to max bytes (0 = all available). data aliases the
+// socket's receive buffer and stays valid only until the socket's
+// next input (see tcp.Recv): copy what you keep.
 //
 //fsvet:hotpath read() runs per request on the steady-state path
 func (p *Process) Recv(t *cpu.Task, fd int, max int) (data []byte, eof bool, ok bool) {
@@ -514,7 +523,9 @@ func (p *Process) Recv(t *cpu.Task, fd int, max int) (data []byte, eof bool, ok 
 	return data, eof, true
 }
 
-// Send writes data to the connection, returning bytes queued.
+// Send writes data to the connection, returning bytes queued. The
+// socket keeps data itself until the peer ACKs it (see tcp.Send), so
+// the caller must not reuse the slice.
 //
 //fsvet:hotpath write() runs per response on the steady-state path
 func (p *Process) Send(t *cpu.Task, fd int, data []byte) int {

@@ -49,7 +49,10 @@ type EstablishedStats struct {
 
 // EstablishedTable is one established-connections hash table.
 type EstablishedTable struct {
-	buckets [][]*tcp.Sock
+	// buckets holds each chain's head. Chains link through
+	// tcp.Sock.EhashNext, so inserting never allocates; entries keep
+	// insertion order (new sockets go to the tail).
+	buckets []*tcp.Sock
 	mask    uint64
 	// locks is nil for Fastsocket local tables (lock-free by
 	// construction); otherwise the per-bucket ehash locks.
@@ -67,7 +70,7 @@ func NewEstablished(buckets int, locks *lock.Sharded, costs Costs) *EstablishedT
 		panic("tcb: bucket count must be a positive power of two")
 	}
 	return &EstablishedTable{
-		buckets: make([][]*tcp.Sock, buckets),
+		buckets: make([]*tcp.Sock, buckets),
 		mask:    uint64(buckets - 1),
 		locks:   locks,
 		costs:   costs,
@@ -80,7 +83,8 @@ func (e *EstablishedTable) Stats() EstablishedStats { return e.stats }
 // Len returns the number of sockets in the table.
 func (e *EstablishedTable) Len() int { return e.count }
 
-func (e *EstablishedTable) bucket(ft netproto.FourTuple) (uint64, *[]*tcp.Sock) {
+// bucket returns the tuple's hash and a pointer to its chain head.
+func (e *EstablishedTable) bucket(ft netproto.FourTuple) (uint64, **tcp.Sock) {
 	h := ft.Hash()
 	return h, &e.buckets[h&e.mask]
 }
@@ -96,7 +100,15 @@ func (e *EstablishedTable) Insert(t *cpu.Task, sk *tcp.Sock) {
 		l.Acquire(t)
 	}
 	t.Charge(e.costs.Link)
-	*b = append(*b, sk)
+	link := b
+	for *link != nil {
+		if *link == sk {
+			panic("tcb: socket inserted twice")
+		}
+		link = &(*link).EhashNext
+	}
+	sk.EhashNext = nil
+	*link = sk
 	e.count++
 	e.stats.Inserts++
 	if l != nil {
@@ -114,11 +126,12 @@ func (e *EstablishedTable) Remove(t *cpu.Task, sk *tcp.Sock) bool {
 		l.Acquire(t)
 	}
 	removed := false
-	for i, s := range *b {
+	for link := b; *link != nil; link = &(*link).EhashNext {
 		t.Charge(e.costs.Compare)
-		if s == sk {
+		if *link == sk {
 			t.Charge(e.costs.Link)
-			*b = append((*b)[:i], (*b)[i+1:]...)
+			*link = sk.EhashNext
+			sk.EhashNext = nil
 			e.count--
 			e.stats.Removes++
 			removed = true
@@ -137,7 +150,7 @@ func (e *EstablishedTable) Lookup(t *cpu.Task, ft netproto.FourTuple) *tcp.Sock 
 	t.Charge(e.costs.Hash)
 	e.stats.Lookups++
 	_, b := e.bucket(ft)
-	for _, sk := range *b {
+	for sk := *b; sk != nil; sk = sk.EhashNext {
 		t.Charge(e.costs.Compare)
 		e.stats.Scanned++
 		if sk.Remote == ft.Src && sk.Local == ft.Dst {
@@ -151,8 +164,8 @@ func (e *EstablishedTable) Lookup(t *cpu.Task, ft netproto.FourTuple) *tcp.Sock 
 // ForEach visits every socket (for /proc/net/tcp-style introspection;
 // not charged — the tools run outside the measured workload).
 func (e *EstablishedTable) ForEach(fn func(*tcp.Sock)) {
-	for _, b := range e.buckets {
-		for _, sk := range b {
+	for _, head := range e.buckets {
+		for sk := head; sk != nil; sk = sk.EhashNext {
 			fn(sk)
 		}
 	}

@@ -1,6 +1,7 @@
 package tcb
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -12,15 +13,27 @@ import (
 	"fastsocket/internal/tcp"
 )
 
+// mkTask returns the context of a work item that stays open until the
+// test ends: a *cpu.Task is valid only while its item runs, so the
+// item parks on a channel, on the loop's goroutine, until cleanup.
 func mkTask(t *testing.T) *cpu.Task {
 	loop := sim.NewLoop()
 	m := cpu.NewMachine(loop, 1)
-	var task *cpu.Task
-	m.Core(0).Submit(func(tk *cpu.Task) { task = tk })
-	loop.Run()
-	if task == nil {
-		t.Fatal("no task")
-	}
+	tasks := make(chan *cpu.Task)
+	release, done := make(chan struct{}), make(chan struct{})
+	m.Core(0).Submit(func(tk *cpu.Task) {
+		tasks <- tk
+		<-release
+	})
+	go func() {
+		loop.Run()
+		close(done)
+	}()
+	task := <-tasks
+	t.Cleanup(func() {
+		close(release)
+		<-done
+	})
 	return task
 }
 
@@ -115,6 +128,150 @@ func TestEstablishedChargesCosts(t *testing.T) {
 	// Insert 30; lookup: hash 10 + >=1 compare 5 = >=15.
 	if charged < 45 {
 		t.Errorf("charged %v, want >= 45", charged)
+	}
+}
+
+// refEstablished is the slice-per-bucket table the intrusive chain
+// replaced: appends at the tail, order-preserving removal. It returns
+// what each operation must charge and scan.
+type refEstablished struct {
+	buckets [][]*tcp.Sock
+	costs   Costs
+}
+
+func (r *refEstablished) chain(ft netproto.FourTuple) *[]*tcp.Sock {
+	return &r.buckets[ft.Hash()&uint64(len(r.buckets)-1)]
+}
+
+func (r *refEstablished) insert(sk *tcp.Sock) sim.Time {
+	b := r.chain(sk.Tuple())
+	*b = append(*b, sk)
+	return r.costs.Hash + r.costs.Link
+}
+
+func (r *refEstablished) remove(sk *tcp.Sock) (bool, sim.Time) {
+	b := r.chain(sk.Tuple())
+	cost := r.costs.Hash
+	for i, s := range *b {
+		cost += r.costs.Compare
+		if s == sk {
+			*b = append((*b)[:i], (*b)[i+1:]...)
+			return true, cost + r.costs.Link
+		}
+	}
+	return false, cost
+}
+
+func (r *refEstablished) lookup(ft netproto.FourTuple) (*tcp.Sock, uint64, sim.Time) {
+	cost := r.costs.Hash
+	for i, sk := range *r.chain(ft) {
+		cost += r.costs.Compare
+		if sk.Remote == ft.Src && sk.Local == ft.Dst {
+			return sk, uint64(i + 1), cost
+		}
+	}
+	return nil, uint64(len(*r.chain(ft))), cost
+}
+
+func (r *refEstablished) order() []*tcp.Sock {
+	var out []*tcp.Sock
+	for _, b := range r.buckets {
+		out = append(out, b...)
+	}
+	return out
+}
+
+// TestEstablishedMatchesSliceReference drives random inserts, removals
+// (present and absent) and lookups (hits and misses) through a
+// small-bucket table, unlocked and locked, and holds every result,
+// charge, scan count and the ForEach order to the slice reference.
+func TestEstablishedMatchesSliceReference(t *testing.T) {
+	for _, locked := range []bool{false, true} {
+		task := mkTask(t)
+		costs := Costs{Hash: 3, Compare: 5, Link: 7}
+		var locks *lock.Sharded
+		if locked {
+			locks = lock.NewSharded("ehash.lock", 2, 0)
+		}
+		e := NewEstablished(4, locks, costs)
+		ref := &refEstablished{buckets: make([][]*tcp.Sock, 4), costs: costs}
+		socks := make([]*tcp.Sock, 40)
+		for i := range socks {
+			socks[i] = mkSock(i)
+		}
+		in := make([]bool, len(socks))
+		rng := rand.New(rand.NewSource(1))
+		var hits, scanned uint64
+		for op := 0; op < 4000; op++ {
+			i := rng.Intn(len(socks))
+			sk := socks[i]
+			start := task.Now()
+			var want sim.Time
+			switch rng.Intn(3) {
+			case 0:
+				if in[i] {
+					continue
+				}
+				e.Insert(task, sk)
+				want = ref.insert(sk)
+				in[i] = true
+			case 1:
+				got := e.Remove(task, sk)
+				var ok bool
+				ok, want = ref.remove(sk)
+				if got != ok || got != in[i] {
+					t.Fatalf("op %d: Remove(sock %d) = %v, reference %v, present %v", op, i, got, ok, in[i])
+				}
+				in[i] = false
+			case 2:
+				got := e.Lookup(task, sk.Tuple())
+				wantSk, n, cost := ref.lookup(sk.Tuple())
+				if got != wantSk {
+					t.Fatalf("op %d: Lookup(sock %d) = %p, reference %p", op, i, got, wantSk)
+				}
+				if got != nil {
+					hits++
+				}
+				scanned += n
+				want = cost
+			}
+			if charged := task.Now() - start; charged != want {
+				t.Fatalf("op %d (locked=%v): charged %v, reference %v", op, locked, charged, want)
+			}
+			if op%97 == 0 {
+				var order []*tcp.Sock
+				e.ForEach(func(sk *tcp.Sock) { order = append(order, sk) })
+				wantOrder := ref.order()
+				if len(order) != len(wantOrder) || e.Len() != len(wantOrder) {
+					t.Fatalf("op %d: ForEach visited %d, Len %d, reference %d", op, len(order), e.Len(), len(wantOrder))
+				}
+				for j := range order {
+					if order[j] != wantOrder[j] {
+						t.Fatalf("op %d: ForEach order differs from the reference at %d", op, j)
+					}
+				}
+			}
+		}
+		if st := e.Stats(); st.Hits != hits || st.Scanned != scanned {
+			t.Errorf("locked=%v: Hits %d Scanned %d, reference %d and %d", locked, st.Hits, st.Scanned, hits, scanned)
+		}
+	}
+}
+
+// Removing a socket that is not in the table examines every entry of
+// its chain, as the slice scan did.
+func TestEstablishedRemoveAbsentChargesChain(t *testing.T) {
+	task := mkTask(t)
+	e := NewEstablished(1, nil, Costs{Hash: 3, Compare: 5, Link: 7})
+	for i := 0; i < 3; i++ {
+		e.Insert(task, mkSock(i))
+	}
+	start := task.Now()
+	if e.Remove(task, mkSock(99)) {
+		t.Fatal("removed a socket that was never inserted")
+	}
+	if got := task.Now() - start; got != 3+3*5 {
+		t.Errorf("absent Remove charged %v, want hash + 3 compares = 18", got)
 	}
 }
 

@@ -202,6 +202,11 @@ type Sock struct {
 	// User is opaque kernel-side state (fd binding, epoll refs).
 	User any
 
+	// EhashNext chains the socket into its established-table bucket,
+	// like the hlist_nulls node in Linux's struct sock. Only package
+	// tcb touches it, under the bucket lock for shared tables.
+	EhashNext *Sock
+
 	// Stats.
 	Retransmits uint64
 	DroppedSegs uint64 // out-of-window/out-of-order segments discarded
@@ -624,6 +629,10 @@ var ErrTimeout = fmt.Errorf("tcp: connection timed out")
 
 // Send queues and transmits application data, segmenting at MSS.
 // Caller holds the slock. Returns the number of bytes sent.
+//
+// The unacked segments keep slices of data, not copies, until the
+// peer ACKs them (retransmission resends the same bytes), so the
+// caller must not reuse or modify data after Send.
 func Send(env Env, t *cpu.Task, sk *Sock, data []byte) int {
 	if sk.State != Established && sk.State != CloseWait {
 		return 0
@@ -660,13 +669,22 @@ func Send(env Env, t *cpu.Task, sk *Sock, data []byte) int {
 // Recv drains up to max bytes of in-order payload from the receive
 // buffer. eof is true once the stream is fully consumed and the peer
 // has FINed. Caller holds the slock.
+//
+// data aliases the receive buffer and stays valid only until the
+// socket's next input: a read that drains the buffer rewinds it, so
+// the next segment is appended into the same backing array. Callers
+// copy what they keep.
 func Recv(sk *Sock, max int) (data []byte, eof bool) {
 	n := len(sk.RcvBuf)
 	if max > 0 && n > max {
 		n = max
 	}
 	data = sk.RcvBuf[:n]
-	sk.RcvBuf = sk.RcvBuf[n:]
+	if n == len(sk.RcvBuf) {
+		sk.RcvBuf = sk.RcvBuf[:0]
+	} else {
+		sk.RcvBuf = sk.RcvBuf[n:]
+	}
 	return data, sk.RcvFIN && len(sk.RcvBuf) == 0
 }
 

@@ -72,18 +72,31 @@ type world struct {
 	params *Params
 }
 
+// newWorld builds two hosts driven from one work item that stays open
+// until the test ends: a *cpu.Task is valid only while its item runs,
+// so the item parks on a channel, on the loop's goroutine, until
+// cleanup.
 func newWorld(t *testing.T) *world {
 	loop := sim.NewLoop()
 	m := cpu.NewMachine(loop, 1)
 	w := &world{t: t, params: DefaultParams()}
 	w.a = &host{name: "a"}
 	w.b = &host{name: "b"}
-	done := false
-	m.Core(0).Submit(func(tk *cpu.Task) { w.task = tk; done = true })
-	loop.Run()
-	if !done {
-		t.Fatal("task setup failed")
-	}
+	tasks := make(chan *cpu.Task)
+	release, done := make(chan struct{}), make(chan struct{})
+	m.Core(0).Submit(func(tk *cpu.Task) {
+		tasks <- tk
+		<-release
+	})
+	go func() {
+		loop.Run()
+		close(done)
+	}()
+	w.task = <-tasks
+	t.Cleanup(func() {
+		close(release)
+		<-done
+	})
 	return w
 }
 
@@ -234,6 +247,31 @@ func TestRecvPartialReads(t *testing.T) {
 	d2, _ := Recv(srv, 0)
 	if string(d2) != " world" {
 		t.Errorf("second read = %q", d2)
+	}
+}
+
+// A read that drains the receive buffer rewinds it, so the next
+// segment is appended into the same backing array instead of a fresh
+// one; a partial read leaves the unread tail in place.
+func TestRecvDrainReusesBuffer(t *testing.T) {
+	w := newWorld(t)
+	cli, srv := w.established()
+	Send(w.a, w.task, cli, []byte("hello world"))
+	w.pump()
+	d1, _ := Recv(srv, 0)
+	if string(d1) != "hello world" {
+		t.Fatalf("first read = %q", d1)
+	}
+	Send(w.a, w.task, cli, []byte("again"))
+	w.pump()
+	if len(srv.RcvBuf) == 0 || &srv.RcvBuf[0] != &d1[0] {
+		t.Error("segment after a full Recv did not land in the drained backing array")
+	}
+	if d2, _ := Recv(srv, 3); string(d2) != "aga" {
+		t.Fatalf("partial read = %q", d2)
+	}
+	if d3, _ := Recv(srv, 0); string(d3) != "in" {
+		t.Errorf("tail read = %q", d3)
 	}
 }
 

@@ -1,6 +1,7 @@
 package vet
 
 import (
+	"go/ast"
 	"go/types"
 	"sort"
 	"strings"
@@ -114,6 +115,15 @@ func markedAt(set map[fileLine]bool, file string, line int) bool {
 // hotPathSet resolves the //fsvet:hotpath roots and computes their
 // may-call closure. The returned map is the hot set; roots lists the
 // marked functions in declaration order (for reporting).
+//
+// Beyond the may-call relation, one rule follows scheduled callbacks
+// that the call graph cannot see: when a hot function hands a struct
+// field to a deferred executor (Loop.At, Task.DeferArg, Core.Submit,
+// Wheel.Arm, ...), every function stored in that field runs from the
+// loop later and is hot too. That is how cpu.(*Core).drain, reached
+// only through the bound c.drainFn, enters the set. The rule lives
+// here, not in the shared may-call relation, so the lock graph and the
+// charge pass see exactly the edges they always did.
 func hotPathSet(cg *callGraph, mk *markers) (roots []*types.Func, hot map[*types.Func]bool) {
 	hot = map[*types.Func]bool{}
 	for _, fn := range cg.funcs {
@@ -122,6 +132,7 @@ func hotPathSet(cg *callGraph, mk *markers) (roots []*types.Func, hot map[*types
 			roots = append(roots, fn)
 		}
 	}
+	stored := fieldCallbacks(cg)
 	work := append([]*types.Func(nil), roots...)
 	for len(work) > 0 {
 		fn := work[len(work)-1]
@@ -135,8 +146,123 @@ func hotPathSet(cg *callGraph, mk *markers) (roots []*types.Func, hot map[*types
 				work = append(work, c)
 			}
 		}
+		for _, field := range scheduledFields(cg, fn) {
+			for c := range stored[field] {
+				if !hot[c] {
+					work = append(work, c)
+				}
+			}
+		}
 	}
 	return roots, hot
+}
+
+// fieldOf resolves an expression naming a struct field, or an element
+// of a slice or array field (x.f, x.f[i]), to the field.
+func fieldOf(info *types.Info, e ast.Expr) *types.Var {
+	e = ast.Unparen(e)
+	if ix, ok := e.(*ast.IndexExpr); ok {
+		e = ast.Unparen(ix.X)
+	}
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+		v, _ := s.Obj().(*types.Var)
+		return v
+	}
+	return nil
+}
+
+// fieldCallbacks indexes every store of a function value into a struct
+// field anywhere in the module (assignments and keyed composite
+// literals). A stored function or method value contributes itself; a
+// stored function literal contributes its static callees.
+func fieldCallbacks(cg *callGraph) map[*types.Var]map[*types.Func]bool {
+	info := cg.prog.Info
+	stored := map[*types.Var]map[*types.Func]bool{}
+	add := func(field *types.Var, f *types.Func) {
+		if f == nil || cg.decls[f] == nil {
+			return
+		}
+		if stored[field] == nil {
+			stored[field] = map[*types.Func]bool{}
+		}
+		stored[field][f] = true
+	}
+	record := func(field *types.Var, val ast.Expr) {
+		if field == nil {
+			return
+		}
+		switch val := ast.Unparen(val).(type) {
+		case *ast.FuncLit:
+			ast.Inspect(val.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					add(field, cg.staticCallee(call))
+				}
+				return true
+			})
+		case *ast.Ident:
+			f, _ := info.Uses[val].(*types.Func)
+			add(field, f)
+		case *ast.SelectorExpr: // method value or package-qualified function
+			f, _ := info.Uses[val.Sel].(*types.Func)
+			add(field, f)
+		}
+	}
+	for _, fn := range cg.funcs {
+		ast.Inspect(cg.decls[fn].Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if len(n.Lhs) == len(n.Rhs) {
+					for i, lhs := range n.Lhs {
+						record(fieldOf(info, lhs), n.Rhs[i])
+					}
+				}
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					if field, _ := info.Uses[id].(*types.Var); field != nil && field.IsField() {
+						record(field, n.Value)
+					}
+				}
+			}
+			return true
+		})
+	}
+	return stored
+}
+
+// scheduledFields lists the struct fields fn hands to a deferred
+// executor as its callback. The callback is the argument whose
+// parameter has function type (every executor has exactly one).
+func scheduledFields(cg *callGraph, fn *types.Func) []*types.Var {
+	info := cg.prog.Info
+	var out []*types.Var
+	ast.Inspect(cg.decls[fn].Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		callee := cg.staticCallee(call)
+		if _, ok := isDeferredExecutor(callee); !ok {
+			return true
+		}
+		params := callee.Type().(*types.Signature).Params()
+		for i, arg := range call.Args {
+			if i >= params.Len() {
+				break
+			}
+			if _, isFunc := params.At(i).Type().Underlying().(*types.Signature); !isFunc {
+				continue
+			}
+			if field := fieldOf(info, arg); field != nil {
+				out = append(out, field)
+			}
+		}
+		return true
+	})
+	return out
 }
 
 // sortedHotNames renders the hot set deterministically (diagnostics

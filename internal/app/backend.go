@@ -42,7 +42,7 @@ type backConn struct {
 // BackendConfig configures the origin.
 type BackendConfig struct {
 	Addr         netproto.Addr
-	ResponseLen  int      // default 64+headers? No: total bytes on the wire; default 256
+	ResponseLen  int      // total bytes on the wire; default 192
 	ServiceDelay sim.Time // origin think time per request
 	Seed         uint64
 }

@@ -80,7 +80,12 @@ const PruneHorizon = 2 * sim.Millisecond
 type SpinLock struct {
 	name string
 
-	intervals []interval // disjoint, sorted by start
+	// intervals[head:] is the timeline: sorted by start, with a
+	// strict gap between neighbours (each start > the previous end),
+	// so the ends are sorted too. intervals[:head] is the pruned
+	// prefix, reclaimed by compact.
+	intervals []interval
+	head      int
 	holds     []holdRec
 	avgHold   sim.Time // EWMA of hold durations, sizes gap-fitting
 
@@ -127,7 +132,7 @@ func (l *SpinLock) ResetStats() { l.stats = Stats{} }
 // Used when the struct the lock protects is recycled through a free
 // list: a reset lock is observationally identical to lock.New's.
 func (l *SpinLock) Reset() {
-	l.intervals = l.intervals[:0]
+	l.intervals, l.head = l.intervals[:0], 0
 	l.holds = l.holds[:0]
 	l.avgHold = 0
 	l.recent1.core, l.recent1.at = -1, 0
@@ -142,8 +147,20 @@ func (l *SpinLock) slotAt(ta sim.Time) sim.Time {
 	if need <= 0 {
 		need = 1
 	}
+	tl := l.intervals[l.head:]
+	// Intervals ending at or before ta cannot delay the acquirer; the
+	// ends are sorted, so skip them by binary search.
+	lo, hi := 0, len(tl)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if tl[m].end <= ta {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
 	t := ta
-	for _, iv := range l.intervals {
+	for _, iv := range tl[lo:] {
 		if iv.end <= t {
 			continue
 		}
@@ -162,38 +179,61 @@ func (l *SpinLock) slotAt(ta sim.Time) sim.Time {
 
 // prune drops intervals that no future acquirer can observe.
 func (l *SpinLock) prune(ta sim.Time) {
-	cut := 0
-	for cut < len(l.intervals) && l.intervals[cut].end < ta-PruneHorizon {
-		cut++
+	for l.head < len(l.intervals) && l.intervals[l.head].end < ta-PruneHorizon {
+		l.head++
 	}
-	if cut > 0 {
-		l.intervals = append(l.intervals[:0], l.intervals[cut:]...)
+	// Reclaim the dead prefix once it outgrows the live part, so the
+	// copying stays amortised constant per dropped interval.
+	if l.head > 0 && l.head >= len(l.intervals)-l.head {
+		l.compact()
 	}
+}
+
+// compact moves the timeline to the front of its backing array.
+func (l *SpinLock) compact() {
+	n := copy(l.intervals, l.intervals[l.head:])
+	l.intervals, l.head = l.intervals[:n], 0
 }
 
 // insert merges [start, end] into the timeline.
 func (l *SpinLock) insert(start, end sim.Time) {
-	// Find insertion point from the back (releases are usually the
-	// newest interval).
-	i := len(l.intervals)
-	for i > 0 && l.intervals[i-1].start > start {
-		i--
-	}
-	l.intervals = append(l.intervals, interval{})
-	copy(l.intervals[i+1:], l.intervals[i:])
-	l.intervals[i] = interval{start, end}
-	// Merge neighbours.
-	out := l.intervals[:0]
-	for _, iv := range l.intervals {
-		if n := len(out); n > 0 && iv.start <= out[n-1].end {
-			if iv.end > out[n-1].end {
-				out[n-1].end = iv.end
-			}
-			continue
+	tl := l.intervals[l.head:]
+	// lo is the first interval starting after start. Only its
+	// predecessor and the run from lo that starts at or before the
+	// merged end can touch the new interval.
+	lo, hi := 0, len(tl)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if tl[m].start <= start {
+			lo = m + 1
+		} else {
+			hi = m
 		}
-		out = append(out, iv)
 	}
-	l.intervals = out
+	first, last := lo, lo
+	if lo > 0 && start <= tl[lo-1].end {
+		first = lo - 1
+		start = tl[first].start
+		end = max(end, tl[first].end)
+	}
+	for last < len(tl) && tl[last].start <= end {
+		end = max(end, tl[last].end)
+		last++
+	}
+	// Splice: tl[first:last] becomes the one merged interval.
+	if first == last {
+		if len(l.intervals) == cap(l.intervals) && l.head > 0 {
+			// Reuse the dead prefix before append grows the array.
+			l.compact()
+		}
+		l.intervals = append(l.intervals, interval{})
+		tl = l.intervals[l.head:]
+		copy(tl[first+1:], tl[first:])
+	} else if last-first > 1 {
+		n := copy(tl[first+1:], tl[last:])
+		l.intervals = l.intervals[:l.head+first+1+n]
+	}
+	tl[first] = interval{start, end}
 }
 
 // Acquire takes the lock in context c, spinning (in simulated time)

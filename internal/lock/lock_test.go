@@ -1,6 +1,8 @@
 package lock
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -232,21 +234,29 @@ func TestSerializationBound(t *testing.T) {
 func TestTimelineIntervalsDisjointProperty(t *testing.T) {
 	// Property: after any sequence of acquisitions at arbitrary
 	// virtual times with arbitrary hold durations, the lock's busy
-	// timeline remains sorted and non-overlapping — the invariant
-	// that makes serialization sound.
+	// timeline stays sorted with a strict gap between neighbours —
+	// the invariant that makes serialization sound and that lets
+	// insert merge only the new interval's neighbours. Times span
+	// about two PruneHorizons so that prune runs.
+	var pruned bool
 	f := func(ops []uint16) bool {
 		l := New("prop", 0)
 		for i, op := range ops {
-			at := sim.Time(op % 4096)
-			hold := sim.Time(op%97) + 1
+			at := sim.Time(op) * 64
+			hold := (sim.Time(op%97) + 1) * sim.Microsecond
+			for _, iv := range l.intervals[l.head:] {
+				if iv.end < at-PruneHorizon {
+					pruned = true
+				}
+			}
 			c := &fakeCtx{now: at, core: i % 8}
 			l.Acquire(c)
 			c.Charge(hold)
 			l.Release(c)
-			for j := 1; j < len(l.intervals); j++ {
-				prev, cur := l.intervals[j-1], l.intervals[j]
-				if cur.start < prev.end {
-					return false // overlap
+			tl := l.intervals[l.head:]
+			for j := 1; j < len(tl); j++ {
+				if prev, cur := tl[j-1], tl[j]; cur.start <= prev.end {
+					return false // overlap or touching neighbours
 				}
 			}
 		}
@@ -254,6 +264,161 @@ func TestTimelineIntervalsDisjointProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+	if !pruned {
+		t.Error("no acquisition pruned the timeline; widen the times")
+	}
+}
+
+// refTimeline is the linear timeline SpinLock kept before slotAt and
+// insert searched it and prune stopped copying: each operation walks
+// or rewrites the whole slice. It is the reference the randomized test
+// checks the lock against.
+type refTimeline struct{ intervals []interval }
+
+func (r *refTimeline) slotAt(ta, avgHold sim.Time) sim.Time {
+	need := avgHold
+	if need <= 0 {
+		need = 1
+	}
+	t := ta
+	for _, iv := range r.intervals {
+		if iv.end <= t {
+			continue
+		}
+		if iv.start <= t {
+			t = iv.end
+			continue
+		}
+		if iv.start-t >= need {
+			break
+		}
+		t = iv.end
+	}
+	return t
+}
+
+func (r *refTimeline) prune(ta sim.Time) {
+	cut := 0
+	for cut < len(r.intervals) && r.intervals[cut].end < ta-PruneHorizon {
+		cut++
+	}
+	if cut > 0 {
+		r.intervals = append(r.intervals[:0], r.intervals[cut:]...)
+	}
+}
+
+func (r *refTimeline) insert(start, end sim.Time) {
+	i := len(r.intervals)
+	for i > 0 && r.intervals[i-1].start > start {
+		i--
+	}
+	r.intervals = append(r.intervals, interval{})
+	copy(r.intervals[i+1:], r.intervals[i:])
+	r.intervals[i] = interval{start, end}
+	out := r.intervals[:0]
+	for _, iv := range r.intervals {
+		if n := len(out); n > 0 && iv.start <= out[n-1].end {
+			if iv.end > out[n-1].end {
+				out[n-1].end = iv.end
+			}
+			continue
+		}
+		out = append(out, iv)
+	}
+	r.intervals = out
+}
+
+func TestTimelineMatchesLinearReference(t *testing.T) {
+	// Random insert/prune/slotAt/Reset sequences on a SpinLock and on
+	// the linear reference must leave identical timelines and give
+	// identical slots after every operation. Each phase moves the
+	// clock at its own pace, from many intervals per PruneHorizon to a
+	// few, so the timeline grows, shrinks and is pruned empty.
+	phases := []struct {
+		step, hold sim.Time // mean clock advance per operation, mean hold
+		ops        int
+	}{
+		{step: 2 * sim.Microsecond, hold: sim.Microsecond, ops: 6000},
+		{step: 20 * sim.Microsecond, hold: 5 * sim.Microsecond, ops: 3000},
+		{step: 300 * sim.Microsecond, hold: 30 * sim.Microsecond, ops: 300},
+		{step: 500, hold: 400, ops: 6000},
+	}
+	l := New("ref", 0)
+	ref := &refTimeline{}
+	rng := rand.New(rand.NewSource(1))
+	var clock sim.Time
+	var waits, equalStarts, zeroHolds, swallows, pruneCompactions, appendCompactions int
+	for round := 0; round < 3; round++ {
+		for p, ph := range phases {
+			for op := 0; op < ph.ops; op++ {
+				clock += sim.Time(rng.Int63n(int64(2 * ph.step)))
+				headBefore, capBefore := l.head, cap(l.intervals)
+				kind := "insert"
+				switch r := rng.Intn(1000); {
+				case r < 600:
+					// Most releases land near the newest interval; some
+					// fall back into the timeline or reuse a start.
+					start := clock - sim.Time(rng.Int63n(int64(4*ph.step)+1))
+					if rng.Intn(8) == 0 && len(ref.intervals) > 0 {
+						start = ref.intervals[rng.Intn(len(ref.intervals))].start
+						equalStarts++
+					}
+					var hold sim.Time
+					switch rng.Intn(10) {
+					case 0:
+						zeroHolds++
+					case 1:
+						hold = 10 * ph.hold // swallows the intervals after start
+					default:
+						hold = sim.Time(rng.Int63n(int64(2 * ph.hold)))
+					}
+					before := len(ref.intervals)
+					l.insert(start, start+hold)
+					ref.insert(start, start+hold)
+					if len(ref.intervals) < before {
+						swallows++
+					}
+				case r < 850:
+					kind = "prune"
+					ta := clock - sim.Time(rng.Int63n(int64(ph.step)+1))
+					l.prune(ta)
+					ref.prune(ta)
+				case r < 999:
+					kind = "slotAt"
+					l.avgHold = sim.Time(rng.Int63n(int64(2*ph.hold) + 1))
+					ta := clock - sim.Time(rng.Int63n(int64(PruneHorizon)))
+					got, want := l.slotAt(ta), ref.slotAt(ta, l.avgHold)
+					if got != want {
+						t.Fatalf("round %d phase %d op %d: slotAt(%v) avgHold %v = %v, reference %v",
+							round, p, op, ta, l.avgHold, got, want)
+					}
+					if got > ta {
+						waits++
+					}
+				default:
+					kind = "Reset"
+					l.Reset()
+					ref.intervals = ref.intervals[:0]
+				}
+				if got := l.intervals[l.head:]; !slices.Equal(got, ref.intervals) {
+					t.Fatalf("round %d phase %d op %d (%s): timeline %v, reference %v",
+						round, p, op, kind, got, ref.intervals)
+				}
+				if headBefore > 0 && l.head == 0 && kind != "Reset" {
+					switch {
+					case kind == "prune":
+						pruneCompactions++
+					case cap(l.intervals) == capBefore:
+						appendCompactions++
+					}
+				}
+			}
+		}
+	}
+	if waits == 0 || equalStarts == 0 || zeroHolds == 0 || swallows == 0 || pruneCompactions == 0 || appendCompactions == 0 {
+		t.Errorf("vacuous run: %d waiting slots, %d equal starts, %d zero-length holds, %d swallowing holds, %d prune compactions, %d append compactions",
+			waits, equalStarts, zeroHolds, swallows, pruneCompactions, appendCompactions)
 	}
 }
 

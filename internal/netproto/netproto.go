@@ -325,23 +325,25 @@ func ValidRequest(data []byte) bool {
 }
 
 // BuildResponse renders a 200 response whose total length is exactly
-// total bytes, with a Content-Length-correct body.
+// total bytes, with a Content-Length-correct body. A total shorter than
+// the header alone yields the header with an empty body.
 func BuildResponse(total int) []byte {
-	const headerFmt = "HTTP/1.0 200 OK\r\nServer: nginx/1.4\r\nContent-Type: text/html\r\nContent-Length: %d\r\nConnection: close\r\n\r\n"
-	// Solve for the body size; Content-Length's digits change the
-	// header size, so iterate (converges immediately in practice).
-	body := total - len(fmt.Sprintf(headerFmt, 0))
-	for i := 0; i < 4; i++ {
-		header := fmt.Sprintf(headerFmt, body)
-		if len(header)+body == total || body <= 0 {
-			break
-		}
-		body = total - len(fmt.Sprintf(headerFmt, body))
+	const headerFmt = "HTTP/1.0 200 OK\r\nServer: nginx/1.4\r\nContent-Type: text/html\r\nContent-Length: %0*d\r\nConnection: close\r\n\r\n"
+	// Body plus Content-Length digits must fill what the rest of the
+	// header leaves. Take the narrowest field the body fits in. Where
+	// one more body byte would need one more digit (a room of 11, 102,
+	// 1003, ...), no unpadded length fits, and the body, one digit
+	// shorter than its field, is zero-padded (RFC 9110 allows it).
+	room := total - (len(fmt.Sprintf(headerFmt, 0, 0)) - 1)
+	width, body := 1, room-1
+	for body > 0 && len(strconv.Itoa(body)) > width {
+		width++
+		body = room - width
 	}
 	if body < 0 {
 		body = 0
 	}
-	return []byte(fmt.Sprintf(headerFmt, body) + strings.Repeat("b", body))
+	return []byte(fmt.Sprintf(headerFmt, width, body) + strings.Repeat("b", body))
 }
 
 // ParseResponse extracts the status code and body length, validating

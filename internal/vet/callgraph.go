@@ -228,10 +228,10 @@ var deferredExecutors = map[string]int{
 	"(*" + ModPath + "/internal/sim.Loop).After":         1,
 	"(*" + ModPath + "/internal/sim.Loop).AtArg":         1,
 	"(*" + ModPath + "/internal/sim.Loop).AfterArg":      1,
-	"(*" + ModPath + "/internal/cpu.Task).Defer":         1,
+	"(*" + ModPath + "/internal/cpu.Task).Defer":         0,
 	"(*" + ModPath + "/internal/cpu.Task).DeferArg":      0,
-	"(*" + ModPath + "/internal/cpu.Core).Submit":        1,
-	"(*" + ModPath + "/internal/cpu.Core).SubmitSoftIRQ": 1,
+	"(*" + ModPath + "/internal/cpu.Core).Submit":        0,
+	"(*" + ModPath + "/internal/cpu.Core).SubmitSoftIRQ": 0,
 	"(*" + ModPath + "/internal/ktimer.Wheel).Arm":       2,
 }
 

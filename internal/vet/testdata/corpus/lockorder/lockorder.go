@@ -1,10 +1,14 @@
 // Golden corpus for the lockorder pass: held-set propagation, the
-// With idiom, TryAcquire branches, a leak, and an order inversion
-// (the inversion finding attaches to the whole-graph pseudo-file and
-// is asserted directly by the test, not via a want comment).
+// With idiom, TryAcquire branches, a leak, a leak in a scheduled
+// callback, and an order inversion (the inversion finding attaches to
+// the whole-graph pseudo-file and is asserted directly by the test,
+// not via a want comment).
 package corpus
 
-import "fastsocket/internal/lock"
+import (
+	"fastsocket/internal/cpu"
+	"fastsocket/internal/lock"
+)
 
 type Pair struct {
 	A *lock.SpinLock
@@ -57,6 +61,19 @@ func Leak(ctx lock.Context, p *Pair, fail bool) bool {
 	}
 	p.A.Release(ctx)
 	return true
+}
+
+// SubmitLeak hands Core.Submit a callback that can return with B held.
+// The callback (parameter 0) runs later with nothing held and is
+// checked on its own.
+func SubmitLeak(c *cpu.Core, p *Pair, fail bool) {
+	c.Submit(func(t *cpu.Task) {
+		p.B.Acquire(t)
+		if fail {
+			return // want "may return while holding \"corpus.b\""
+		}
+		p.B.Release(t)
+	})
 }
 
 // TryBranches releases on every path where the acquire succeeded.

@@ -1,52 +1,34 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build lint vet allocgate fsmgate shardgate offloadgate lifegate test bench bench-go figures quick-figures faults examples clean
+.PHONY: all build lint vet shardgate offloadgate lifegate test bench bench-go figures quick-figures faults examples clean
 
 all: build test
 
 build:
 	go build ./...
 
-# Static checks: formatting, vet, and the repo's own fslint analyzer
-# (determinism, lock discipline, and unit hygiene — see DESIGN.md).
+# Formatting and the toolchain's own vet.
 lint:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt: files need formatting:"; echo "$$fmt"; exit 1; fi
 	go vet ./...
-	go run ./cmd/fslint ./...
 
-# Typed whole-program analysis (fsvet): interprocedural determinism,
-# reachability, units, lock order, charge accounting and pooled-handle
-# escape checks, plus the static<->runtime lockdep cross-check against
-# the committed experiment mix. Fails on any unbaselined finding or on
-# an observed lock-order edge the static graph missed. Refreshes the
-# committed observed graph and timing record.
-vet:
-	go run ./cmd/fsvet -root . -baseline .fsvet-baseline.json \
-		-lockdep-cross-check -write-observed LOCKGRAPH_observed.json \
-		-bench-out BENCH_vet.json
-
-# Allocation gate: the fsvet alloc pass checks every hot-path function
-# against the committed budget (.fsvet-allocbudget.json), then the
-# runtime cross-check measures actual allocs/event (macro run) and
-# allocs/op (bare engine) against the budget's ceilings. Regenerate the
-# budget after deliberate changes with:
+# The repo's analyzer, fsvet, in one run over one load of the module:
+# every static pass (determinism, reach, units, lock order and pairing,
+# charge, escape, alloc budget, shard, mailbox, TCP state machine —
+# see DESIGN.md §5), then the runtime cross-checks that hold them to
+# ground truth: the lockdep order graph, allocs/event on the macro and
+# offloads-on bulk beds and allocs/op on the bare engine against
+# .fsvet-allocbudget.json, and the fsm mix's transitions against the
+# static relation (>= 90% of the spec's non-defensive edges). Fails on
+# any finding or cross-check miss. Refreshes LOCKGRAPH_observed.json
+# and FSMGRAPH_observed.json (deterministic: they only move when lock
+# or TCP behaviour does) and the BENCH_vet.json record. Regenerate the
+# alloc budget after deliberate changes with
 #   go run ./cmd/fsvet -write-allocbudget
 # (ceilings, notes and corpus fixture entries are preserved).
-allocgate:
-	go run ./cmd/fsvet -root . -alloc-cross-check -bench-out BENCH_allocgate.json
-
-# FSM gate: the fsvet fsm pass statically extracts every TCP
-# state-transition site and diffs the relation against the committed
-# spec (internal/vet/fsmspec.go); the cross-check then replays the fsm
-# experiment mix under the runtime transition tracer and fails if any
-# observed transition has no static site (analyzer bug) or the mix
-# covers < 90% of the spec's non-defensive edges. Refreshes the
-# committed observed matrix (FSMGRAPH_observed.json) — the mix is
-# deterministic, so the file only moves when TCP behaviour does.
-fsmgate:
-	go run ./cmd/fsvet -root . -baseline .fsvet-baseline.json \
-		-fsm-cross-check -write-fsmgraph FSMGRAPH_observed.json
+vet:
+	go run ./cmd/fsvet
 
 # Shard gate: the conservative-lookahead engine's equality suite under
 # the race detector — engine unit tests (parallel == serial traces,
@@ -61,15 +43,14 @@ shardgate:
 # Offload gate: the NIC offload model's invariants. GRO merge boundary
 # and IRQ-coalescing timer unit tests, the TSO fault-granularity
 # equivalence (an armed fault plane draws identical per-MSS decisions
-# whether or not the wire carries super-segments), the offload digest
-# suite under the race detector (serial == multi-worker shard digests,
-# offloads-off inert), and the fsvet runtime alloc cross-check with
-# every offload enabled against the committed macro ceiling.
+# whether or not the wire carries super-segments), and the offload
+# digest suite under the race detector (serial == multi-worker shard
+# digests, offloads-off inert). `make vet` holds the offloads-on bulk
+# bed to the macro alloc ceiling.
 offloadgate:
 	go test -run 'TestGRO|TestCoalesce' ./internal/kernel
 	go test -run 'TestTSO' ./internal/app
 	go test -race -run 'TestOffload|TestShardDigestOffload' ./internal/experiment
-	go run ./cmd/fsvet -root . -alloc-cross-check -offloads
 
 # Lifecycle gate: the host lifecycle plane's invariants. The app-layer
 # crash/drain/restart suite under the race detector, then the fixed
@@ -86,7 +67,7 @@ lifegate:
 # The benchmark (cmd/fsperf) is a module of its own, so the root
 # `go vet ./...` and `go test ./...` skip it; it compiles against the
 # app and shard APIs, so it is vetted and tested here explicitly.
-test: lint vet allocgate fsmgate lifegate
+test: lint vet lifegate
 	go test ./...
 	go -C cmd/fsperf vet ./...
 	go -C cmd/fsperf test ./...

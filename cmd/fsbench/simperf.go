@@ -514,8 +514,8 @@ func runSimperf() string {
 		// Zero additional allocations per unit of work: aggregation
 		// shrinks the event count ~5x, so allocs/event would inflate
 		// mechanically even with an allocation-free merge path — the
-		// stable bound is per MSS segment moved, plus the macro
-		// allocgate ceiling on the per-event figure.
+		// stable bound is per MSS segment moved, plus fsvet's macro
+		// alloc ceiling on the per-event figure.
 		if r.AllocsPerMSSSeg > offloadOff.AllocsPerMSSSeg+0.1 {
 			fmt.Fprintf(os.Stderr, "fsbench: offload path allocates: %.4f allocs/mss-seg vs %.4f with offloads off\n",
 				r.AllocsPerMSSSeg, offloadOff.AllocsPerMSSSeg)

@@ -62,10 +62,10 @@ func fsmWebBeds(merged *stats.FSMTrace) {
 }
 
 // fsmLossyWebBed reruns the web bench under injected segment loss with
-// a retransmitting client: dropped pure ACKs make the peer's
-// retransmitted FIN carry the cumulative ACK of our FIN, provoking the
-// single-segment FIN_WAIT1 -> TIME_WAIT edge, and handshake losses
-// exercise the retransmit-exhaustion aborts.
+// a retransmitting client: handshake losses exercise the
+// retransmit-exhaustion aborts. (A dropped ACK of our FIN makes the
+// peer's FIN carry it, which still passes through FIN_WAIT2 — see
+// TestFinWait1CoalescedFINACK in internal/tcp.)
 func fsmLossyWebBed(merged *stats.FSMTrace) {
 	plan, err := fault.ParsePlan("loss=0.05")
 	if err != nil {

@@ -1,20 +1,32 @@
-// Command fsvet runs the types-aware analysis suite over the module:
-// whole-program type-check, the interprocedural passes, and the
-// static↔runtime cross-checks (lockdep order graph, allocation
-// ceilings, TCP state-machine coverage).
+// Command fsvet is the project's static analyzer. One run loads and
+// type-checks the module once, runs every static pass (package vet),
+// then checks the passes against runtime ground truth on deterministic
+// beds:
 //
-//	fsvet [-root dir] [-json] [-baseline file] [-lockgraph]
-//	      [-lockdep-cross-check] [-write-observed file]
-//	      [-alloc-cross-check] [-write-allocbudget]
-//	      [-fsm-cross-check] [-write-fsmgraph file] [-bench-out file]
+//   - lockdep: the committed experiment mix under runtime lockdep; an
+//     observed lock-order edge the static graph lacks is an analyzer
+//     bug.
+//   - alloc: heap allocations per event of a macro web bench and of a
+//     bulk bed with every NIC offload on, and per op of the bare event
+//     loop, against the ceilings in .fsvet-allocbudget.json.
+//   - fsm: the fsm experiment mix under the TCP transition tracer;
+//     every observed transition needs a static site, and the mix must
+//     cover vet.FSMCoverageFloor of the spec's non-defensive edges.
 //
-// Exit status is 1 if any unbaselined finding remains, the lockdep
-// cross-check sees an observed lock-order edge the static graph
-// missed (an analyzer bug), the alloc cross-check measures more
-// runtime allocations than the committed budget's ceilings allow, or
-// the fsm cross-check observes a TCP state transition outside the
-// statically extracted relation / fails the spec coverage floor;
-// 0 otherwise.
+// Usage:
+//
+//	go run ./cmd/fsvet [-root dir]
+//	go run ./cmd/fsvet -write-allocbudget
+//
+// A run prints each finding as file:line:col: [pass] message and
+// rewrites three records under the root: LOCKGRAPH_observed.json and
+// FSMGRAPH_observed.json (the observed graphs, byte-stable because the
+// beds are deterministic) and BENCH_vet.json (timings, counts and the
+// measured allocations). Exit status is 1 if any finding remains or a
+// cross-check fails, 2 on a load or I/O error, 0 otherwise.
+//
+// -write-allocbudget instead regenerates .fsvet-allocbudget.json from
+// the current hot-path scan (preserving ceilings and notes) and exits.
 package main
 
 import (
@@ -39,46 +51,21 @@ import (
 )
 
 func main() {
-	var (
-		root       = flag.String("root", ".", "module root to analyze")
-		jsonOut    = flag.Bool("json", false, "emit findings and lock graph as JSON")
-		baseline   = flag.String("baseline", "", "baseline file of accepted findings (JSON)")
-		lockgraph  = flag.Bool("lockgraph", false, "print the static lock-order graph and exit")
-		crosscheck = flag.Bool("lockdep-cross-check", false,
-			"run the committed experiment suite under runtime lockdep and diff observed vs static lock-order edges")
-		writeObserved = flag.String("write-observed", "", "write the observed lockdep graph JSON to this file (implies -lockdep-cross-check)")
-		allocCheck    = flag.Bool("alloc-cross-check", false,
-			"measure runtime allocations (macro web-bench run and bare-loop op) and fail if either exceeds the budget's runtime ceilings")
-		writeBudget = flag.Bool("write-allocbudget", false,
-			"regenerate "+vet.AllocBudgetFile+" from the current hot-path scan (preserving ceilings and notes) and exit")
-		offloads = flag.Bool("offloads", false,
-			"with -alloc-cross-check: also measure the bulk workload with TSO/GRO/IRQ-coalescing enabled against the same macro ceiling")
-		fsmCheck = flag.Bool("fsm-cross-check", false,
-			"replay the fsm experiment mix under the runtime transition tracer and diff observed vs static TCP state transitions")
-		writeFSMGraph = flag.String("write-fsmgraph", "", "write the observed TCP transition matrix JSON to this file (implies -fsm-cross-check)")
-		benchOut      = flag.String("bench-out", "", "write analysis timing JSON to this file")
-	)
+	root := flag.String("root", ".", "module root to analyze")
+	writeBudget := flag.Bool("write-allocbudget", false,
+		"regenerate "+vet.AllocBudgetFile+" from the current hot-path scan (preserving ceilings and notes) and exit")
 	flag.Parse()
 
 	start := time.Now()
 	prog, err := vet.Load(*root)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fsvet: %v\n", err)
-		os.Exit(2)
-	}
+	check(err)
+	budget, err := vet.LoadAllocBudget(*root)
+	check(err)
 
 	if *writeBudget {
-		prev, err := vet.LoadAllocBudget(*root)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fsvet: %v\n", err)
-			os.Exit(2)
-		}
-		b := vet.GenerateAllocBudget(prog, prev)
+		b := vet.GenerateAllocBudget(prog, budget)
 		path := filepath.Join(*root, vet.AllocBudgetFile)
-		if err := os.WriteFile(path, b.JSON(), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "fsvet: %v\n", err)
-			os.Exit(2)
-		}
+		check(os.WriteFile(path, b.JSON(), 0o644))
 		fmt.Fprintf(os.Stderr, "fsvet: wrote %s (%d budgeted functions)\n", path, len(b.Functions))
 		return
 	}
@@ -87,196 +74,136 @@ func main() {
 	passStart := time.Now()
 	res := vet.Run(prog)
 	passes := time.Since(passStart)
-	analysis := time.Since(start)
+	for _, f := range res.Findings {
+		fmt.Println(f)
+	}
+	fail := len(res.Findings) > 0
 
-	if *lockgraph {
-		b, err := json.MarshalIndent(res.LockGraph, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fsvet: %v\n", err)
-			os.Exit(2)
-		}
-		os.Stdout.Write(append(b, '\n'))
-		return
+	files := 0
+	for _, ip := range prog.Paths {
+		files += len(prog.Files[ip])
 	}
+	bench := map[string]any{
+		"tool":              "fsvet",
+		"packages":          len(prog.Paths),
+		"files":             files,
+		"load_seconds":      load.Seconds(),
+		"passes_seconds":    passes.Seconds(),
+		"analysis_seconds":  (load + passes).Seconds(),
+		"findings":          len(res.Findings),
+		"static_lock_edges": len(res.LockGraph),
+		"static_fsm_edges":  len(res.FSMGraph),
+	}
+	// The alloc cross-check runs first, in the state a fresh process
+	// leaves, so the replays below cannot warm what it measures.
+	fail = allocCrossCheck(budget, bench) || fail
+	fail = lockdepCrossCheck(*root, res.LockGraph, bench) || fail
+	fail = fsmCrossCheck(*root, res.FSMGraph, bench) || fail
 
-	findings := res.Findings
-	var stale []vet.Finding
-	if *baseline != "" {
-		data, err := os.ReadFile(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fsvet: %v\n", err)
-			os.Exit(2)
-		}
-		base, err := vet.ParseBaseline(data)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fsvet: %v\n", err)
-			os.Exit(2)
-		}
-		findings, stale = vet.ApplyBaseline(findings, base)
-	}
-
-	fail := false
-	if *jsonOut {
-		out := &vet.Result{Findings: findings, LockGraph: res.LockGraph, FSMGraph: res.FSMGraph}
-		os.Stdout.Write(out.JSON())
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
-	}
-	if len(findings) > 0 {
-		fail = true
-	}
-	for _, f := range stale {
-		fmt.Fprintf(os.Stderr, "fsvet: stale baseline entry (fixed? prune it): %s\n", f)
-	}
-
-	var ccSeconds float64
-	if *crosscheck || *writeObserved != "" {
-		ccStart := time.Now()
-		observed, observedJSON := runInstrumentedSuite()
-		ccSeconds = time.Since(ccStart).Seconds()
-		if *writeObserved != "" {
-			if err := os.WriteFile(*writeObserved, observedJSON, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "fsvet: %v\n", err)
-				os.Exit(2)
-			}
-		}
-		cc := vet.CrossCheck(res.LockGraph, observed)
-		fmt.Fprintln(os.Stderr, cc.Summary())
-		for _, e := range cc.Missing {
-			fmt.Fprintf(os.Stderr, "fsvet: ANALYZER BUG: observed edge %s -> %s not in static graph (sites: %v)\n",
-				e.Outer, e.Inner, e.Sites)
-		}
-		for _, e := range cc.Untested {
-			fmt.Fprintf(os.Stderr, "fsvet: note: static edge %s -> %s never observed (untested lock interaction)\n",
-				e.Outer, e.Inner)
-		}
-		if !cc.OK() {
-			fail = true
-		}
-	}
-
-	var fsmSeconds float64
-	var fsmObserved int
-	if *fsmCheck || *writeFSMGraph != "" {
-		fsmStart := time.Now()
-		spec := vet.TCPSpec()
-		mix := runFSMMix()
-		fsmSeconds = time.Since(fsmStart).Seconds()
-		observed := mix.Edges(spec.States)
-		fsmObserved = len(observed)
-		if *writeFSMGraph != "" {
-			if err := os.WriteFile(*writeFSMGraph, stats.FormatEdges(observed), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "fsvet: %v\n", err)
-				os.Exit(2)
-			}
-		}
-		cross := vet.FSMCross(spec, res.FSMGraph, observed)
-		fmt.Fprintln(os.Stderr, cross.Summary())
-		for _, s := range cross.Unexpected {
-			fmt.Fprintf(os.Stderr, "fsvet: ANALYZER BUG: %s\n", s)
-		}
-		for _, s := range cross.Uncovered {
-			fmt.Fprintf(os.Stderr, "fsvet: note: spec transition never observed: %s\n", s)
-		}
-		if !cross.OK(vet.FSMCoverageFloor) {
-			fmt.Fprintf(os.Stderr,
-				"fsvet: FSM GATE FAILED: observed transitions must be a subset of the static relation and cover >= %.0f%% of its non-defensive edges\n",
-				vet.FSMCoverageFloor*100)
-			fail = true
-		}
-	}
-
-	var macroAllocs, engineAllocs, offloadAllocs float64
-	if *allocCheck {
-		budget, err := vet.LoadAllocBudget(*root)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fsvet: %v\n", err)
-			os.Exit(2)
-		}
-		macroAllocs = measureMacroAllocs()
-		engineAllocs = measureEngineAllocs()
-		fmt.Fprintf(os.Stderr,
-			"fsvet: alloc cross-check: macro %.4f allocs/event (ceiling %.2f), engine %.4f allocs/op (ceiling %.2f)\n",
-			macroAllocs, budget.RuntimeCeilingAllocsPerEvent,
-			engineAllocs, budget.RuntimeCeilingEngineAllocsPerOp)
-		if macroAllocs > budget.RuntimeCeilingAllocsPerEvent {
-			fmt.Fprintf(os.Stderr,
-				"fsvet: RUNTIME ALLOC REGRESSION: macro run allocated %.4f/event, budget ceiling is %.2f — the static scan missed a site or the budget is stale\n",
-				macroAllocs, budget.RuntimeCeilingAllocsPerEvent)
-			fail = true
-		}
-		if engineAllocs > budget.RuntimeCeilingEngineAllocsPerOp {
-			fmt.Fprintf(os.Stderr,
-				"fsvet: RUNTIME ALLOC REGRESSION: bare-loop op allocated %.4f/op, budget ceiling is %.2f\n",
-				engineAllocs, budget.RuntimeCeilingEngineAllocsPerOp)
-			fail = true
-		}
-		if *offloads {
-			offloadAllocs = measureOffloadAllocs()
-			fmt.Fprintf(os.Stderr,
-				"fsvet: alloc cross-check (offloads on): bulk %.4f allocs/event (ceiling %.2f)\n",
-				offloadAllocs, budget.RuntimeCeilingAllocsPerEvent)
-			if offloadAllocs > budget.RuntimeCeilingAllocsPerEvent {
-				fmt.Fprintf(os.Stderr,
-					"fsvet: RUNTIME ALLOC REGRESSION: bulk offload run allocated %.4f/event, budget ceiling is %.2f — the TSO/GRO/coalescing path allocates off-budget\n",
-					offloadAllocs, budget.RuntimeCeilingAllocsPerEvent)
-				fail = true
-			}
-		}
-	}
-
-	if *benchOut != "" {
-		files := 0
-		for _, ip := range prog.Paths {
-			files += len(prog.Files[ip])
-		}
-		// Honest before/after for the concurrent pass scheduler: rerun
-		// the same passes serially on the already-loaded program and
-		// report both pass-only wall times side by side (load/type-check
-		// time is shared and reported separately).
-		serialStart := time.Now()
-		vet.RunSerial(prog)
-		serial := time.Since(serialStart)
-		bench := map[string]any{
-			"tool":                  "fsvet",
-			"packages":              len(prog.Paths),
-			"files":                 files,
-			"analysis_seconds":      analysis.Seconds(),
-			"load_seconds":          load.Seconds(),
-			"passes_seconds":        passes.Seconds(),
-			"passes_serial_seconds": serial.Seconds(),
-			"crosscheck_seconds":    ccSeconds,
-			"findings":              len(findings),
-			"static_lock_edges":     len(res.LockGraph),
-			"static_fsm_edges":      len(res.FSMGraph),
-		}
-		if *fsmCheck || *writeFSMGraph != "" {
-			bench["fsmcheck_seconds"] = fsmSeconds
-			bench["observed_fsm_edges"] = fsmObserved
-		}
-		if *allocCheck {
-			bench["macro_allocs_per_event"] = macroAllocs
-			bench["engine_allocs_per_op"] = engineAllocs
-			if *offloads {
-				bench["offload_allocs_per_event"] = offloadAllocs
-			}
-		}
-		b, err := json.MarshalIndent(bench, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fsvet: %v\n", err)
-			os.Exit(2)
-		}
-		if err := os.WriteFile(*benchOut, append(b, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "fsvet: %v\n", err)
-			os.Exit(2)
-		}
-	}
+	bench["wall_seconds"] = time.Since(start).Seconds()
+	b, err := json.MarshalIndent(bench, "", "  ")
+	check(err)
+	check(os.WriteFile(filepath.Join(*root, "BENCH_vet.json"), append(b, '\n'), 0o644))
 
 	if fail {
 		os.Exit(1)
 	}
+}
+
+// check exits with status 2 on a load or I/O error.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fsvet: %v\n", err)
+		os.Exit(2)
+	}
+}
+
+// allocCrossCheck measures runtime allocations on the macro web bench,
+// the bare event loop and the offload bulk bed, records them in bench,
+// and reports whether any exceeds the budget's ceilings.
+func allocCrossCheck(budget *vet.AllocBudget, bench map[string]any) (fail bool) {
+	start := time.Now()
+	macro := measureMacroAllocs()
+	engine := measureEngineAllocs()
+	offload := measureOffloadAllocs()
+	bench["alloccheck_seconds"] = time.Since(start).Seconds()
+	bench["macro_allocs_per_event"] = macro
+	bench["engine_allocs_per_op"] = engine
+	bench["offload_allocs_per_event"] = offload
+
+	ceiling, engineCeiling := budget.RuntimeCeilingAllocsPerEvent, budget.RuntimeCeilingEngineAllocsPerOp
+	fmt.Fprintf(os.Stderr,
+		"fsvet: alloc cross-check: macro %.4f allocs/event, offloads-on bulk %.4f allocs/event (ceiling %.2f), engine %.4f allocs/op (ceiling %.2f)\n",
+		macro, offload, ceiling, engine, engineCeiling)
+	if macro > ceiling {
+		fmt.Fprintf(os.Stderr,
+			"fsvet: RUNTIME ALLOC REGRESSION: macro run allocated %.4f/event, budget ceiling is %.2f — the static scan missed a site or the budget is stale\n",
+			macro, ceiling)
+		fail = true
+	}
+	if engine > engineCeiling {
+		fmt.Fprintf(os.Stderr,
+			"fsvet: RUNTIME ALLOC REGRESSION: bare-loop op allocated %.4f/op, budget ceiling is %.2f\n",
+			engine, engineCeiling)
+		fail = true
+	}
+	if offload > ceiling {
+		fmt.Fprintf(os.Stderr,
+			"fsvet: RUNTIME ALLOC REGRESSION: bulk offload run allocated %.4f/event, budget ceiling is %.2f — the TSO/GRO/coalescing path allocates off-budget\n",
+			offload, ceiling)
+		fail = true
+	}
+	return fail
+}
+
+// lockdepCrossCheck replays the experiment mix under runtime lockdep,
+// writes the observed graph, and reports whether an observed edge is
+// missing from the static graph.
+func lockdepCrossCheck(root string, static []vet.StaticEdge, bench map[string]any) (fail bool) {
+	start := time.Now()
+	observed, observedJSON := runInstrumentedSuite()
+	bench["crosscheck_seconds"] = time.Since(start).Seconds()
+	check(os.WriteFile(filepath.Join(root, "LOCKGRAPH_observed.json"), observedJSON, 0o644))
+
+	cc := vet.CrossCheck(static, observed)
+	fmt.Fprintln(os.Stderr, cc.Summary())
+	for _, e := range cc.Missing {
+		fmt.Fprintf(os.Stderr, "fsvet: ANALYZER BUG: observed edge %s -> %s not in static graph (sites: %v)\n",
+			e.Outer, e.Inner, e.Sites)
+	}
+	for _, e := range cc.Untested {
+		fmt.Fprintf(os.Stderr, "fsvet: note: static edge %s -> %s never observed (untested lock interaction)\n",
+			e.Outer, e.Inner)
+	}
+	return !cc.OK()
+}
+
+// fsmCrossCheck replays the fsm mix under the transition tracer,
+// writes the observed matrix, and reports whether a transition lacks a
+// static site or the mix misses the coverage floor.
+func fsmCrossCheck(root string, static []vet.FSMTransition, bench map[string]any) (fail bool) {
+	start := time.Now()
+	spec := vet.TCPSpec()
+	observed := runFSMMix().Edges(spec.States)
+	bench["fsmcheck_seconds"] = time.Since(start).Seconds()
+	bench["observed_fsm_edges"] = len(observed)
+	check(os.WriteFile(filepath.Join(root, "FSMGRAPH_observed.json"), stats.FormatEdges(observed), 0o644))
+
+	cross := vet.FSMCross(spec, static, observed)
+	fmt.Fprintln(os.Stderr, cross.Summary())
+	for _, s := range cross.Unexpected {
+		fmt.Fprintf(os.Stderr, "fsvet: ANALYZER BUG: %s\n", s)
+	}
+	for _, s := range cross.Uncovered {
+		fmt.Fprintf(os.Stderr, "fsvet: note: spec transition never observed: %s\n", s)
+	}
+	if !cross.OK(vet.FSMCoverageFloor) {
+		fmt.Fprintf(os.Stderr,
+			"fsvet: FSM GATE FAILED: observed transitions must be a subset of the static relation and cover >= %.0f%% of its non-defensive edges\n",
+			vet.FSMCoverageFloor*100)
+		return true
+	}
+	return false
 }
 
 // runInstrumentedSuite replays the committed experiment mix — the same

@@ -1,101 +1,173 @@
+// Package analysis holds the rule-level cases of the determinism,
+// lock-pairing and units checks. They began as the tests of fslint, a
+// syntactic analyzer that lived here; fsvet (internal/vet) now makes
+// every one of those checks, and each test below runs its case through
+// fsvet under its original name. Each fixture package is laid over the
+// module at a synthetic import path, which decides restricted-package
+// status exactly as a real path would. One fsvet run over the module
+// plus every fixture serves all tests.
 package analysis
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"fastsocket/internal/vet"
 )
 
+const repoRoot = "../.."
+
+// fixture is one source file of a case, in the package at a
+// module-relative path.
 type fixture struct {
 	path, name, src string
 }
 
-// runPkgs parses the fixtures (grouped by package path) and returns
-// rendered diagnostics.
-func runPkgs(t *testing.T, fixtures []fixture) []string {
+type testCase struct {
+	fixtures []fixture
+}
+
+var (
+	allCases []*testCase
+
+	runOnce sync.Once
+	runErr  error
+	// found holds the findings of the shared run by fixture package
+	// path, rendered "path/file.go:line: [pass] msg", in fsvet order.
+	found map[string][]string
+)
+
+// newCase registers a case; every registered case loads in the shared
+// run, so cases must be package-level variables.
+func newCase(fixtures ...fixture) *testCase {
+	c := &testCase{fixtures: fixtures}
+	allCases = append(allCases, c)
+	return c
+}
+
+// findings returns fsvet's findings in the case's fixture packages.
+func (c *testCase) findings(t *testing.T) []string {
 	t.Helper()
-	fset := token.NewFileSet()
-	a := New(fset)
-	byPath := map[string][]*ast.File{}
-	var order []string
-	for _, f := range fixtures {
-		parsed, err := parser.ParseFile(fset, f.name, f.src, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatalf("parse %s: %v", f.name, err)
-		}
-		if _, ok := byPath[f.path]; !ok {
-			order = append(order, f.path)
-		}
-		byPath[f.path] = append(byPath[f.path], parsed)
-	}
-	for _, path := range order {
-		a.AddPackage(path, byPath[path]...)
+	runOnce.Do(runAll)
+	if runErr != nil {
+		t.Fatal(runErr)
 	}
 	var out []string
-	for _, d := range a.Run() {
-		out = append(out, d.String())
+	seen := map[string]bool{}
+	for _, fx := range c.fixtures {
+		if !seen[fx.path] {
+			seen[fx.path] = true
+			out = append(out, found[fx.path]...)
+		}
 	}
 	return out
 }
 
-// run is the single-file convenience wrapper.
-func run(t *testing.T, path, src string) []string {
-	t.Helper()
-	return runPkgs(t, []fixture{{path: path, name: "fix.go", src: src}})
+// runAll writes every fixture under a scratch directory, loads the
+// module with the fixture packages overlaid, and runs fsvet once.
+func runAll() {
+	scratch, err := os.MkdirTemp("", "fsvet-cases")
+	if err != nil {
+		runErr = err
+		return
+	}
+	defer os.RemoveAll(scratch)
+	overlay := map[string]string{}
+	for _, c := range allCases {
+		for _, fx := range c.fixtures {
+			dir := filepath.Join(scratch, filepath.FromSlash(fx.path))
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				runErr = err
+				return
+			}
+			if err := os.WriteFile(filepath.Join(dir, fx.name), []byte(fx.src), 0o644); err != nil {
+				runErr = err
+				return
+			}
+			overlay[vet.ModPath+"/"+fx.path] = dir
+		}
+	}
+	prog, err := vet.LoadWithOverlay(repoRoot, overlay)
+	if err != nil {
+		runErr = err
+		return
+	}
+	found = map[string][]string{}
+	prefix := scratch + string(filepath.Separator)
+	for _, f := range vet.Run(prog).Findings {
+		rel, ok := strings.CutPrefix(f.File, prefix)
+		if !ok {
+			continue
+		}
+		rel = filepath.ToSlash(rel)
+		msg := strings.ReplaceAll(f.Msg, prefix, "")
+		pkg := filepath.ToSlash(filepath.Dir(rel))
+		found[pkg] = append(found[pkg], fmt.Sprintf("%s:%d: [%s] %s", rel, f.Line, f.Pass, msg))
+	}
 }
 
 // expect asserts that each want[i] is a substring of got[i].
 func expect(t *testing.T, got []string, want ...string) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("got %d diagnostics, want %d:\n%s", len(got), len(want), strings.Join(got, "\n"))
+		t.Fatalf("got %d findings, want %d:\n%s", len(got), len(want), strings.Join(got, "\n"))
 	}
 	for i, w := range want {
 		if !strings.Contains(got[i], w) {
-			t.Errorf("diagnostic[%d] = %q, want it to contain %q", i, got[i], w)
+			t.Errorf("finding[%d] = %q, want it to contain %q", i, got[i], w)
 		}
 	}
 }
 
-const restrictedPath = "internal/sim"
+var forbiddenImports = newCase(fixture{"internal/sim/forbiddenimports", "fix.go", `package sim
 
-func TestDeterminismForbiddenImports(t *testing.T) {
-	got := run(t, restrictedPath, `package sim
 import (
 	"time"
 	"math/rand"
 	"sync"
 )
+
 var _ = time.Now
 var _ = rand.Int
 var _ = sync.Mutex{}
-`)
-	expect(t, got,
+`})
+
+func TestDeterminismForbiddenImports(t *testing.T) {
+	// Only package-level declarations use the imports, so the import
+	// itself is the finding.
+	expect(t, forbiddenImports.findings(t),
 		`[determinism] import "time"`,
 		`[determinism] import "math/rand"`,
 		`[determinism] import "sync"`)
 }
 
-func TestDeterminismImportsAllowedOutsideRestrictedPackages(t *testing.T) {
-	got := run(t, "internal/trace", `package trace
+var importsOutsideRestricted = newCase(fixture{"internal/trace/importsallowed", "fix.go", `package trace
+
 import "time"
+
 var _ = time.Now
-`)
-	expect(t, got) // trace is not a restricted package
+`})
+
+func TestDeterminismImportsAllowedOutsideRestrictedPackages(t *testing.T) {
+	expect(t, importsOutsideRestricted.findings(t)) // trace is not a restricted package
 }
 
-func TestDeterminismGoroutinesAndChannels(t *testing.T) {
-	got := run(t, restrictedPath, `package sim
+var goroutinesAndChannels = newCase(fixture{"internal/sim/goroutines", "fix.go", `package sim
+
 func f(ch chan int) {
 	go func() {}()
 	ch <- 1
 	<-ch
 	select {}
 }
-`)
-	expect(t, got,
+`})
+
+func TestDeterminismGoroutinesAndChannels(t *testing.T) {
+	expect(t, goroutinesAndChannels.findings(t),
 		"channel types are forbidden",
 		"goroutines are forbidden",
 		"channel sends are forbidden",
@@ -103,8 +175,8 @@ func f(ch chan int) {
 		"select statements are forbidden")
 }
 
-func TestDeterminismMapRangeFlagged(t *testing.T) {
-	got := run(t, restrictedPath, `package sim
+var mapRange = newCase(fixture{"internal/sim/maprange", "fix.go", `package sim
+
 func f(m map[string]int) int {
 	total := 0
 	for _, v := range m {
@@ -112,13 +184,16 @@ func f(m map[string]int) int {
 	}
 	return total
 }
-`)
-	expect(t, got, "[determinism] iteration over map m")
+`})
+
+func TestDeterminismMapRangeFlagged(t *testing.T) {
+	expect(t, mapRange.findings(t), "[determinism] iteration over map m")
 }
 
-func TestDeterminismMapRangeCollectAndSortAllowed(t *testing.T) {
-	got := run(t, restrictedPath, `package sim
+var mapRangeSorted = newCase(fixture{"internal/sim/maprangesorted", "fix.go", `package sim
+
 import "sort"
+
 func f(m map[string]int) []string {
 	var keys []string
 	for k := range m {
@@ -127,12 +202,14 @@ func f(m map[string]int) []string {
 	sort.Strings(keys)
 	return keys
 }
-`)
-	expect(t, got)
+`})
+
+func TestDeterminismMapRangeCollectAndSortAllowed(t *testing.T) {
+	expect(t, mapRangeSorted.findings(t))
 }
 
-func TestDeterminismMapRangeCollectWithoutSortFlagged(t *testing.T) {
-	got := run(t, restrictedPath, `package sim
+var mapRangeUnsorted = newCase(fixture{"internal/sim/maprangeunsorted", "fix.go", `package sim
+
 func f(m map[string]int) []string {
 	var keys []string
 	for k := range m {
@@ -140,15 +217,18 @@ func f(m map[string]int) []string {
 	}
 	return keys
 }
-`)
-	expect(t, got, "iteration over map m")
+`})
+
+func TestDeterminismMapRangeCollectWithoutSortFlagged(t *testing.T) {
+	expect(t, mapRangeUnsorted.findings(t), "iteration over map m")
 }
 
-func TestDeterminismMapRangeViaLocalAndField(t *testing.T) {
-	got := run(t, restrictedPath, `package sim
+var mapRangeLocalAndField = newCase(fixture{"internal/sim/maprangelocal", "fix.go", `package sim
+
 type table struct {
 	rows map[int]string
 }
+
 func f(tb *table) {
 	local := make(map[int]bool)
 	for range local {
@@ -156,19 +236,23 @@ func f(tb *table) {
 	for range tb.rows {
 	}
 }
-`)
-	expect(t, got,
+`})
+
+func TestDeterminismMapRangeViaLocalAndField(t *testing.T) {
+	expect(t, mapRangeLocalAndField.findings(t),
 		"iteration over map local",
 		"iteration over map tb.rows")
 }
 
-func TestDeterminismMapRangeViaFunctionResultAcrossPackages(t *testing.T) {
-	got := runPkgs(t, []fixture{
-		{path: "internal/kernel", name: "kern.go", src: `package kernel
+var mapRangeCallResult = newCase(
+	fixture{"internal/kernel/contention", "kern.go", `package kernel
+
 func Contention() map[string]uint64 { return nil }
 `},
-		{path: "internal/experiment", name: "exp.go", src: `package experiment
-import "fastsocket/internal/kernel"
+	fixture{"internal/experiment/contention", "exp.go", `package experiment
+
+import kernel "fastsocket/internal/kernel/contention"
+
 func f() {
 	for range kernel.Contention() {
 	}
@@ -176,107 +260,132 @@ func f() {
 	for range m {
 	}
 }
-`},
-	})
-	expect(t, got,
+`})
+
+func TestDeterminismMapRangeViaFunctionResultAcrossPackages(t *testing.T) {
+	expect(t, mapRangeCallResult.findings(t),
 		"iteration over map kernel.Contention()",
 		"iteration over map m")
 }
 
-func TestDeterminismSuppression(t *testing.T) {
-	got := run(t, restrictedPath, `package sim
+var determinismWaiver = newCase(fixture{"internal/sim/determinismwaiver", "fix.go", `package sim
+
 func f(m map[string]int) int {
 	total := 0
-	//fslint:ignore determinism summing ints is order-independent
+	//fsvet:ignore determinism summing ints is order-independent
 	for _, v := range m {
 		total += v
 	}
 	return total
 }
-`)
-	expect(t, got)
+`})
+
+func TestDeterminismSuppression(t *testing.T) {
+	expect(t, determinismWaiver.findings(t))
 }
 
-func TestDeterminismSkipsTestFiles(t *testing.T) {
-	got := runPkgs(t, []fixture{{path: restrictedPath, name: "fix_test.go", src: `package sim
+var determinismTestFile = newCase(
+	fixture{"internal/sim/testfile", "fix.go", `package sim
+`},
+	fixture{"internal/sim/testfile", "fix_test.go", `package sim
+
 func f(m map[string]int) {
 	for range m {
 	}
 }
-`}})
-	expect(t, got)
+`})
+
+func TestDeterminismSkipsTestFiles(t *testing.T) {
+	expect(t, determinismTestFile.findings(t))
 }
+
+var staleDirective = newCase(fixture{"internal/sim/staledirective", "fix.go", `package sim
+
+func f(m map[string]int) int {
+	total := 0
+	//fsvet:ignore determinism summing ints is order-independent
+	for _, v := range m {
+		total += v
+	}
+	//fsvet:ignore determinism left behind after the loop below was fixed
+	return total
+}
+`})
 
 func TestStaleDirectiveFlagged(t *testing.T) {
 	// A well-formed directive that suppresses nothing is itself a
 	// finding; one that suppresses stays silent.
-	got := run(t, restrictedPath, `package sim
-func f(m map[string]int) int {
-	total := 0
-	//fslint:ignore determinism summing ints is order-independent
-	for _, v := range m {
-		total += v
-	}
-	//fslint:ignore determinism left behind after the loop below was fixed
-	return total
-}
-`)
-	expect(t, got, "stale //fslint:ignore determinism directive")
+	expect(t, staleDirective.findings(t),
+		"fix.go:9: [fsvet] stale //fsvet:ignore determinism directive")
 }
 
-func TestStaleDirectiveOnlyJudgedForRulesThatRan(t *testing.T) {
-	// determinism does not run on test files or unrestricted packages:
-	// an unused directive there is inert, not provably stale. locks runs
-	// everywhere, so its unused directives are always stale.
-	got := runPkgs(t, []fixture{{path: restrictedPath, name: "fix_test.go", src: `package sim
-func f() {
-	//fslint:ignore determinism inert in a test file, not judged
-	//fslint:ignore locks nothing locks-related here
-	_ = 0
-}
-`}})
-	expect(t, got, "stale //fslint:ignore locks directive")
-}
+var malformedDirectives = newCase(fixture{"internal/sim/directives", "fix.go", `package sim
+
+//fsvet:ignore
+func a() {}
+
+//fsvet:ignore bogusrule some reason
+func b() {}
+
+//fsvet:ignore determinism
+func c() {}
+`})
 
 func TestDirectiveValidation(t *testing.T) {
-	got := run(t, restrictedPath, `package sim
-//fslint:ignore
-func a() {}
-//fslint:ignore bogusrule some reason
-func b() {}
-//fslint:ignore determinism
-func c() {}
-`)
-	expect(t, got,
-		"needs a rule and a reason",
-		`unknown rule "bogusrule"`,
-		"needs a reason")
+	expect(t, malformedDirectives.findings(t),
+		"needs a pass and a reason",
+		`unknown pass "bogusrule"`,
+		"fsvet:ignore determinism needs a reason")
 }
 
-func TestLocksBalancedAcquireRelease(t *testing.T) {
-	got := run(t, "internal/ktimer", `package ktimer
-func f(l *Lock, c Ctx) {
+// The lock cases take a lock built by lock.New, so that fsvet resolves
+// its class; a lock with no class is itself a finding.
+
+var locksBalanced = newCase(fixture{"internal/ktimer/balanced", "fix.go", `package ktimer
+
+import "fastsocket/internal/lock"
+
+var l = lock.New("fixture.balanced", 0)
+
+func work() {}
+
+func f(c lock.Context) {
 	l.Acquire(c)
 	work()
 	l.Release(c)
 }
-`)
-	expect(t, got)
+`})
+
+func TestLocksBalancedAcquireRelease(t *testing.T) {
+	expect(t, locksBalanced.findings(t))
 }
 
-func TestLocksMissingRelease(t *testing.T) {
-	got := run(t, "internal/ktimer", `package ktimer
-func f(l *Lock, c Ctx) {
+var locksMissing = newCase(fixture{"internal/ktimer/missing", "fix.go", `package ktimer
+
+import "fastsocket/internal/lock"
+
+var l = lock.New("fixture.missing", 0)
+
+func work() {}
+
+func f(c lock.Context) {
 	l.Acquire(c)
 	work()
 }
-`)
-	expect(t, got, "lock l(c) is still held when the function ends")
+`})
+
+func TestLocksMissingRelease(t *testing.T) {
+	expect(t, locksMissing.findings(t),
+		`fix.go:12: [lockorder] internal/ktimer/missing.f may return while holding "fixture.missing"`)
 }
 
-func TestLocksMissingReleaseOnOneReturnPath(t *testing.T) {
-	got := run(t, "internal/ktimer", `package ktimer
-func f(l *Lock, c Ctx, bad bool) int {
+var locksReturnPath = newCase(fixture{"internal/ktimer/returnpath", "fix.go", `package ktimer
+
+import "fastsocket/internal/lock"
+
+var l = lock.New("fixture.returnpath", 0)
+
+func f(c lock.Context, bad bool) int {
 	l.Acquire(c)
 	if bad {
 		return -1
@@ -284,13 +393,20 @@ func f(l *Lock, c Ctx, bad bool) int {
 	l.Release(c)
 	return 0
 }
-`)
-	expect(t, got, "lock l(c) is not released on a return path (return at line 5)")
+`})
+
+func TestLocksMissingReleaseOnOneReturnPath(t *testing.T) {
+	expect(t, locksReturnPath.findings(t),
+		`fix.go:10: [lockorder] internal/ktimer/returnpath.f may return while holding "fixture.returnpath" (acquired at internal/ktimer/returnpath/fix.go:8`)
 }
 
-func TestLocksReleaseInBothBranches(t *testing.T) {
-	got := run(t, "internal/ktimer", `package ktimer
-func f(l *Lock, c Ctx, bad bool) int {
+var locksBothBranches = newCase(fixture{"internal/ktimer/bothbranches", "fix.go", `package ktimer
+
+import "fastsocket/internal/lock"
+
+var l = lock.New("fixture.bothbranches", 0)
+
+func f(c lock.Context, bad bool) int {
 	l.Acquire(c)
 	if bad {
 		l.Release(c)
@@ -299,13 +415,19 @@ func f(l *Lock, c Ctx, bad bool) int {
 	l.Release(c)
 	return 0
 }
-`)
-	expect(t, got)
+`})
+
+func TestLocksReleaseInBothBranches(t *testing.T) {
+	expect(t, locksBothBranches.findings(t))
 }
 
-func TestLocksDeferReleaseCoversAllPaths(t *testing.T) {
-	got := run(t, "internal/ktimer", `package ktimer
-func f(l *Lock, c Ctx, bad bool) int {
+var locksDefer = newCase(fixture{"internal/ktimer/deferrelease", "fix.go", `package ktimer
+
+import "fastsocket/internal/lock"
+
+var l = lock.New("fixture.deferrelease", 0)
+
+func f(c lock.Context, bad bool) int {
 	l.Acquire(c)
 	defer l.Release(c)
 	if bad {
@@ -313,186 +435,228 @@ func f(l *Lock, c Ctx, bad bool) int {
 	}
 	return 0
 }
-`)
-	expect(t, got)
+`})
+
+func TestLocksDeferReleaseCoversAllPaths(t *testing.T) {
+	expect(t, locksDefer.findings(t))
 }
+
+var locksReacquire = newCase(fixture{"internal/ktimer/reacquire", "fix.go", `package ktimer
+
+import "fastsocket/internal/lock"
+
+var l = lock.New("fixture.reacquire", 0)
+
+func f(c lock.Context) {
+	l.Acquire(c)
+	l.Acquire(c)
+	l.Release(c)
+	l.Release(c)
+}
+`})
 
 func TestLocksReacquireWithoutRelease(t *testing.T) {
-	got := run(t, "internal/ktimer", `package ktimer
-func f(l *Lock, c Ctx) {
-	l.Acquire(c)
-	l.Acquire(c)
-	l.Release(c)
-	l.Release(c)
-}
-`)
-	expect(t, got, "lock l(c) acquired again while already held (first acquired at line 3)")
+	expect(t, locksReacquire.findings(t),
+		`fix.go:9: [lockorder] internal/ktimer/reacquire.f acquires l(c) [fixture.reacquire] again while already holding it (acquired at internal/ktimer/reacquire/fix.go:8`)
 }
 
-func TestLocksAcquireInLoopWithoutRelease(t *testing.T) {
-	got := run(t, "internal/ktimer", `package ktimer
-func f(l *Lock, c Ctx, n int) {
+var locksLoopCarry = newCase(fixture{"internal/ktimer/loopcarry", "fix.go", `package ktimer
+
+import "fastsocket/internal/lock"
+
+var l = lock.New("fixture.loopcarry", 0)
+
+func work() {}
+
+func f(c lock.Context, n int) {
 	for i := 0; i < n; i++ {
 		l.Acquire(c)
 		work()
 	}
 }
-`)
-	expect(t, got, "lock l(c) acquired inside a loop is not released before the next iteration")
+`})
+
+func TestLocksAcquireInLoopWithoutRelease(t *testing.T) {
+	expect(t, locksLoopCarry.findings(t),
+		`fix.go:11: [lockorder] internal/ktimer/loopcarry.f acquires "fixture.loopcarry" in a loop body and still holds it when the body ends`)
 }
 
-func TestLocksBalancedLoopBodyOK(t *testing.T) {
-	got := run(t, "internal/ktimer", `package ktimer
-func f(l *Lock, c Ctx, n int) {
+var locksLoopBalanced = newCase(fixture{"internal/ktimer/loopbalanced", "fix.go", `package ktimer
+
+import "fastsocket/internal/lock"
+
+var l = lock.New("fixture.loopbalanced", 0)
+
+func work() {}
+
+func f(c lock.Context, n int) {
 	for i := 0; i < n; i++ {
 		l.Acquire(c)
 		work()
 		l.Release(c)
 	}
 }
-`)
-	expect(t, got)
+`})
+
+func TestLocksBalancedLoopBodyOK(t *testing.T) {
+	expect(t, locksLoopBalanced.findings(t))
 }
 
-func TestLocksTryAcquireGuards(t *testing.T) {
-	got := run(t, "internal/ktimer", `package ktimer
-func ok1(l *Lock, c Ctx) {
+var locksTryAcquire = newCase(fixture{"internal/ktimer/tryacquire", "fix.go", `package ktimer
+
+import "fastsocket/internal/lock"
+
+var l = lock.New("fixture.tryacquire", 0)
+
+func work() {}
+
+func ok1(c lock.Context) {
 	if l.TryAcquire(c) {
 		work()
 		l.Release(c)
 	}
 }
-func ok2(l *Lock, c Ctx) {
+
+func ok2(c lock.Context) {
 	if !l.TryAcquire(c) {
 		return
 	}
 	work()
 	l.Release(c)
 }
-func bad(l *Lock, c Ctx) {
+
+func bad(c lock.Context) {
 	if l.TryAcquire(c) {
 		work()
 	}
 }
-`)
-	expect(t, got, "lock l(c) from TryAcquire is not released inside the guarded branch")
+`})
+
+func TestLocksTryAcquireGuards(t *testing.T) {
+	expect(t, locksTryAcquire.findings(t),
+		`fix.go:25: [lockorder] internal/ktimer/tryacquire.bad: "fixture.tryacquire" from this TryAcquire is still held when the guarded branch falls through`)
 }
 
-func TestLocksDistinctContextsTrackSeparately(t *testing.T) {
-	got := run(t, "internal/ktimer", `package ktimer
-func f(l *Lock, a, b Ctx) {
+var locksTwoContexts = newCase(fixture{"internal/ktimer/twocontexts", "fix.go", `package ktimer
+
+import "fastsocket/internal/lock"
+
+var l = lock.New("fixture.twocontexts", 0)
+
+func f(a, b lock.Context) {
 	l.Acquire(a)
 	l.Acquire(b)
 	l.Release(a)
 	l.Release(b)
 }
-`)
-	expect(t, got)
+`})
+
+func TestLocksDistinctContextsTrackSeparately(t *testing.T) {
+	expect(t, locksTwoContexts.findings(t))
 }
 
-func TestLocksFuncLitAnalyzedIndependently(t *testing.T) {
-	got := run(t, "internal/ktimer", `package ktimer
-func f(l *Lock, c Ctx) {
+var locksFuncLit = newCase(fixture{"internal/ktimer/funclit", "fix.go", `package ktimer
+
+import "fastsocket/internal/lock"
+
+var l = lock.New("fixture.funclit", 0)
+
+func submit(fn func()) { fn() }
+
+func f(c lock.Context) {
 	submit(func() {
 		l.Acquire(c)
 	})
 }
-`)
-	expect(t, got, "lock l(c) is still held when the function ends")
+`})
+
+func TestLocksFuncLitAnalyzedIndependently(t *testing.T) {
+	// The literal's own end is the leak; f itself stays balanced.
+	expect(t, locksFuncLit.findings(t),
+		`fix.go:12: [lockorder] internal/ktimer/funclit.f may return while holding "fixture.funclit"`)
 }
+
+var locksWaiver = newCase(fixture{"internal/ktimer/lockwaiver", "fix.go", `package ktimer
+
+import "fastsocket/internal/lock"
+
+var l = lock.New("fixture.lockwaiver", 0)
+
+func f(c lock.Context) {
+	l.Acquire(c)
+	//fsvet:ignore lockorder acquires on behalf of the caller
+}
+`})
 
 func TestLocksSuppression(t *testing.T) {
-	got := run(t, "internal/ktimer", `package ktimer
-func f(l *Lock, c Ctx) {
-	//fslint:ignore locks acquires on behalf of the caller
+	// fsvet reports a leak where the function ends, so the waiver sits
+	// on the line above the closing brace.
+	expect(t, locksWaiver.findings(t))
+}
+
+var locksUnrestricted = newCase(fixture{"examples/lockdemo", "fix.go", `package demo
+
+import "fastsocket/internal/lock"
+
+var l = lock.New("fixture.lockdemo", 0)
+
+func f(c lock.Context) {
 	l.Acquire(c)
 }
-`)
-	expect(t, got)
-}
+`})
 
 func TestLocksAppliesToTestFilesAndUnrestrictedPackages(t *testing.T) {
-	got := runPkgs(t, []fixture{{path: "examples/demo", name: "fix_test.go", src: `package demo
-func f(l *Lock, c Ctx) {
-	l.Acquire(c)
-}
-`}})
-	expect(t, got, "still held when the function ends")
+	// Lock pairing applies to every package fsvet loads, restricted or
+	// not. fsvet loads no _test.go file, so lock pairing in tests is
+	// outside its scope (DESIGN §5.1).
+	expect(t, locksUnrestricted.findings(t), `may return while holding "fixture.lockdemo"`)
 }
 
-func TestUnitsBareLiteralFlagged(t *testing.T) {
-	got := runPkgs(t, []fixture{
-		{path: "internal/sim", name: "sim.go", src: `package sim
-type Time int64
-const Microsecond Time = 1000
-func (l *Loop) RunUntil(t Time) {}
-type Loop struct{}
-`},
-		{path: "internal/kernel", name: "kern.go", src: `package kernel
+var unitsBare = newCase(fixture{"internal/kernel/bareliteral", "fix.go", `package kernel
+
 import "fastsocket/internal/sim"
+
 func f(loop *sim.Loop) {
 	loop.RunUntil(5000)
 	loop.RunUntil(900)
 	loop.RunUntil(5 * sim.Microsecond)
 }
-`},
-	})
-	expect(t, got, "bare integer 5000 passed as sim.Time to RunUntil")
+`})
+
+func TestUnitsBareLiteralFlagged(t *testing.T) {
+	expect(t, unitsBare.findings(t), "fix.go:6: [units] bare integer 5000 in a sim.Time position")
 }
+
+var unitsWaiver = newCase(fixture{"internal/kernel/unitswaiver", "fix.go", `package kernel
+
+import "fastsocket/internal/sim"
+
+func f(loop *sim.Loop) {
+	//fsvet:ignore units calibrated raw nanosecond value
+	loop.RunUntil(123456)
+}
+`})
 
 func TestUnitsSuppression(t *testing.T) {
-	got := runPkgs(t, []fixture{
-		{path: "internal/sim", name: "sim.go", src: `package sim
-type Time int64
-func Wait(t Time) {}
-`},
-		{path: "internal/kernel", name: "kern.go", src: `package kernel
+	expect(t, unitsWaiver.findings(t))
+}
+
+var unitsScope = newCase(
+	fixture{"examples/unitsdemo", "demo.go", `package demo
+
 import "fastsocket/internal/sim"
-func f() {
-	//fslint:ignore units calibrated raw nanosecond value
-	sim.Wait(123456)
-}
+
+func f(loop *sim.Loop) { loop.RunUntil(123456) }
 `},
-	})
-	expect(t, got)
-}
+	fixture{"internal/kernel/unitstest", "kern.go", `package kernel
+`},
+	fixture{"internal/kernel/unitstest", "kern_test.go", `package kernel
+
+import "fastsocket/internal/sim"
+
+func f(loop *sim.Loop) { loop.RunUntil(123456) }
+`})
 
 func TestUnitsOnlyInRestrictedNonTestCode(t *testing.T) {
-	got := runPkgs(t, []fixture{
-		{path: "internal/sim", name: "sim.go", src: `package sim
-type Time int64
-func Wait(t Time) {}
-`},
-		{path: "examples/demo", name: "demo.go", src: `package demo
-import "fastsocket/internal/sim"
-func f() { sim.Wait(123456) }
-`},
-	})
-	expect(t, got)
-}
-
-func TestRestrictedPathMatching(t *testing.T) {
-	cases := []struct {
-		path string
-		want bool
-	}{
-		{"internal/sim", true},
-		{"./internal/kernel", false}, // normalized by AddPackage, not here
-		{"internal/analysis", false},
-		{"internal/app", false},
-		{"cmd/fslint", false},
-		{"internal/experiment", true},
-		// sweep uses goroutines by design; it is registered in
-		// exemptPkgs and must stay outside the determinism set even
-		// though it lives under internal/.
-		{"internal/sweep", false},
-	}
-	for _, c := range cases {
-		if got := restricted(c.path); got != c.want {
-			t.Errorf("restricted(%q) = %v, want %v", c.path, got, c.want)
-		}
-	}
-	if !restricted(normPath("./fastsocket/internal/lock")) {
-		t.Error("normPath + restricted failed on prefixed path")
-	}
+	expect(t, unitsScope.findings(t))
 }

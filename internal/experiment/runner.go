@@ -9,8 +9,8 @@ package experiment
 // by completion order.
 //
 // Inside a job, everything remains single-threaded simulation subject
-// to the fslint determinism rules; only the orchestration *between*
-// whole runs may be concurrent.
+// to fsvet's determinism rules; only the orchestration *between* whole
+// runs may be concurrent.
 type Runner interface {
 	Run(n int, job func(i int))
 }

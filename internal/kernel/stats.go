@@ -27,7 +27,7 @@ func (k *Kernel) slockLive() lock.Stats {
 	var s lock.Stats
 	// Summing counters is commutative, so the iteration order of
 	// flowHome cannot reach the result.
-	//fslint:ignore determinism order-independent sum of lock counters
+	//fsvet:ignore determinism order-independent sum of lock counters
 	for _, e := range k.flowHome {
 		addLockStats(&s, e.sk.Slock.Stats())
 	}

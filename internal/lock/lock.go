@@ -355,7 +355,7 @@ func (l *SpinLock) TryAcquire(c Context) bool {
 	if l.slotAt(c.Now()) > c.Now() {
 		return false
 	}
-	//fslint:ignore locks acquires on behalf of the caller, who must Release
+	// Acquires on behalf of the caller, who must Release.
 	l.Acquire(c)
 	return true
 }

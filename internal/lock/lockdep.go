@@ -9,11 +9,11 @@ import (
 )
 
 // Runtime lockdep: a dynamic complement to the static checks in
-// internal/analysis (fslint) and internal/vet (fsvet).
+// internal/vet (fsvet).
 //
-// The static analyzers pair Acquire/Release at the AST and type level;
-// lockdep watches the lock model at run time and records the
-// discipline violations only execution can see:
+// The static analyzer pairs Acquire/Release at the type level; lockdep
+// watches the lock model at run time and records the discipline
+// violations only execution can see:
 //
 //   - double acquisition of the same lock by the same context,
 //   - release of a lock the context does not hold,
@@ -30,9 +30,9 @@ import (
 // every (outer class, inner class) nesting it sees, with the functions
 // that performed the inner acquisition. Dep.GraphJSON exports it in a
 // stable sorted form so fsvet can diff the runtime truth against its
-// static lock-order graph (-lockdep-cross-check): an observed edge the
-// static graph misses is an analyzer bug; a static edge never observed
-// across the experiment suite is an untested lock interaction.
+// static lock-order graph (its lockdep cross-check): an observed edge
+// the static graph misses is an analyzer bug; a static edge never
+// observed across the experiment suite is an untested lock interaction.
 //
 // Everything here is deterministic: violations are recorded in
 // detection order, maps are used for membership only and every export

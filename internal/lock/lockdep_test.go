@@ -56,7 +56,7 @@ func TestLockdepCatchesDoubleAcquire(t *testing.T) {
 		}()
 		// The model panics on recursive acquisition, but lockdep must
 		// have recorded the violation first.
-		//fslint:ignore locks intentional double acquire to exercise lockdep
+		// Intentional double acquire to exercise lockdep.
 		l.Acquire(c)
 	}()
 	expectViolation(t, "double acquire of dbl")

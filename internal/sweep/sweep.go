@@ -1,9 +1,9 @@
 // Package sweep runs independent simulation jobs on parallel host
 // workers.
 //
-// This package is deliberately OUTSIDE the fslint determinism set
-// (see internal/analysis: it is registered as exempt) and is the only
-// place in the repository allowed to use goroutines. That is safe for
+// This package is deliberately OUTSIDE fsvet's determinism set
+// (internal/vet registers it as exempt, as it does the shard engine),
+// so it may use goroutines. That is safe for
 // reproducibility because sweep never touches the inside of a
 // running simulation: it only orchestrates *whole* runs, each of
 // which builds its own sim.Loop and seeds its own PRNGs, shares no

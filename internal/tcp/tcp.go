@@ -543,13 +543,8 @@ func inputStream(env Env, t *cpu.Task, sk *Sock, p *netproto.Packet) {
 		case Established:
 			sk.SetState(CloseWait)
 		case FinWait1:
-			if sk.SndUna == sk.SndNxt {
-				// Our FIN already acknowledged in this segment.
-				env.Transmit(t, sk, sk.mkseg(0, nil, true))
-				enterTimeWait(env, t, sk)
-				env.Readable(t, sk)
-				return
-			}
+			// A FIN that also acknowledges ours moved the socket to
+			// FIN_WAIT2 above, so here our FIN is still unacknowledged.
 			sk.SetState(Closing)
 		case FinWait2:
 			env.Transmit(t, sk, sk.mkseg(0, nil, true))

@@ -7,6 +7,7 @@ import (
 	"fastsocket/internal/cpu"
 	"fastsocket/internal/netproto"
 	"fastsocket/internal/sim"
+	"fastsocket/internal/stats"
 )
 
 // host is a fake Env: one endpoint with a listener and/or connection
@@ -315,6 +316,47 @@ func TestFullCloseSequence(t *testing.T) {
 	TimeWaitExpire(w.b, w.task, srv)
 	if srv.State != Closed || len(w.b.destroyed) != 1 {
 		t.Error("TIME_WAIT socket not reaped")
+	}
+}
+
+// TestFinWait1CoalescedFINACK drops the client's ACK of the server's
+// FIN, so the client's own FIN carries that ACK. The server processes
+// the ACK before the FIN in the same segment: FIN_WAIT1 -> FIN_WAIT2 ->
+// TIME_WAIT, never FIN_WAIT1 -> TIME_WAIT directly.
+func TestFinWait1CoalescedFINACK(t *testing.T) {
+	w := newWorld(t)
+	tr := &stats.FSMTrace{}
+	w.params.Trace = tr
+	cli, srv := w.established()
+	Close(w.b, w.task, srv)
+	w.deliverOne(w.b) // server FIN -> client, which ACKs it
+	if cli.State != CloseWait || len(w.a.out) != 1 {
+		t.Fatalf("client state = %v with %d queued segments, want CLOSE_WAIT and one ACK", cli.State, len(w.a.out))
+	}
+	w.a.out = nil // the ACK is lost
+	Close(w.a, w.task, cli)
+	fin := w.a.out[0]
+	if !fin.Flags.Has(netproto.FIN) || !fin.Flags.Has(netproto.ACK) || fin.Ack != srv.SndNxt {
+		t.Fatalf("client FIN %+v does not acknowledge the server's FIN (SndNxt %d)", fin, srv.SndNxt)
+	}
+	w.pump()
+	if srv.State != TimeWait {
+		t.Fatalf("server state = %v, want TIME_WAIT", srv.State)
+	}
+	if len(w.b.twStarted) != 1 {
+		t.Errorf("TIME_WAIT started %d times, want 1", len(w.b.twStarted))
+	}
+	if got := tr.Counts[FinWait1][FinWait2]; got != 1 {
+		t.Errorf("FIN_WAIT1 -> FIN_WAIT2 recorded %d times, want 1", got)
+	}
+	if got := tr.Counts[FinWait2][TimeWait]; got != 1 {
+		t.Errorf("FIN_WAIT2 -> TIME_WAIT recorded %d times, want 1", got)
+	}
+	if got := tr.Counts[FinWait1][TimeWait]; got != 0 {
+		t.Errorf("FIN_WAIT1 -> TIME_WAIT recorded %d times, want 0", got)
+	}
+	if cli.State != Closed {
+		t.Errorf("client state = %v, want CLOSED", cli.State)
 	}
 }
 

@@ -34,11 +34,10 @@ import (
 // in this repository, only pool-miss refill paths and amortized
 // slice growth. Any drift fails the build in either direction: new
 // sites are findings, and vanished sites make the budget entry stale
-// (regenerate with `fsvet -write-allocbudget`). The static claim is
-// cross-checked at CI time against runtime counters
-// (`fsvet -alloc-cross-check`): a measured macro allocs/event above
-// the budget's runtime ceiling fails, mirroring the lockdep
-// static<->runtime cross-check.
+// (regenerate with `fsvet -write-allocbudget`). Every fsvet run
+// cross-checks the static claim against runtime counters: a measured
+// allocs/event above the budget's runtime ceiling fails, mirroring the
+// lockdep static<->runtime cross-check.
 
 // AllocBudgetFile is the committed budget's filename at the module root.
 const AllocBudgetFile = ".fsvet-allocbudget.json"
@@ -47,8 +46,8 @@ const AllocBudgetFile = ".fsvet-allocbudget.json"
 // the runtime ceiling the cross-check enforces.
 type AllocBudget struct {
 	Note string `json:"note,omitempty"`
-	// RuntimeCeilingAllocsPerEvent bounds the measured macro
-	// allocations per loop event (fsvet -alloc-cross-check).
+	// RuntimeCeilingAllocsPerEvent bounds the measured allocations per
+	// loop event of the macro and offloads-on bulk beds.
 	RuntimeCeilingAllocsPerEvent float64 `json:"runtime_ceiling_allocs_per_event"`
 	// RuntimeCeilingEngineAllocsPerOp bounds testing.AllocsPerRun over
 	// a steady-state schedule/fire pair on the bare loop.

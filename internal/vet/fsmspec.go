@@ -113,7 +113,6 @@ func TCPSpec() *FSMSpec {
 	// Active-close progressions.
 	add(tcp.FinWait1, tcp.FinWait2, rfc, "our FIN acknowledged, peer still open", false)
 	add(tcp.FinWait1, tcp.Closing, rfc, "simultaneous close: peer's FIN before our FIN's ACK", false)
-	add(tcp.FinWait1, tcp.TimeWait, rfc, "FIN and its ACK arrive in one segment", false)
 	add(tcp.FinWait2, tcp.TimeWait, rfc, "peer's FIN received, final ACK sent", false)
 	add(tcp.Closing, tcp.TimeWait, rfc, "our FIN acknowledged after a simultaneous close", false)
 

@@ -178,7 +178,7 @@ func (l *loader) Import(path string) (*types.Package, error) {
 }
 
 // RelPos renders a position with the filename relative to the module
-// root, so findings and baselines are machine-independent.
+// root, so findings are machine-independent.
 func (p *Program) RelPos(pos token.Pos) token.Position {
 	tp := p.Fset.Position(pos)
 	if rel, err := filepath.Rel(p.Root, tp.Filename); err == nil && !strings.HasPrefix(rel, "..") {
@@ -194,9 +194,8 @@ func PkgDir(importPath string) string {
 }
 
 // Restricted reports whether the package at this import path must obey
-// the determinism, unit and charge rules. The sets mirror fslint
-// (internal/analysis): internal/<name> packages feeding simulated
-// results, minus the recorded exemptions.
+// the determinism, unit and charge rules: internal/<name> packages
+// feeding simulated results, minus the recorded exemptions.
 func Restricted(importPath string) bool {
 	rest, ok := strings.CutPrefix(PkgDir(importPath), "internal/")
 	if !ok {
@@ -211,25 +210,42 @@ func Restricted(importPath string) bool {
 	return restrictedPkgs[rest]
 }
 
-// restrictedPkgs mirrors internal/analysis.restrictedPkgs; the two
-// analyzers must agree on what "restricted" means.
+// restrictedPkgs are the internal/<name> packages whose code feeds
+// simulated results and therefore must stay deterministic.
 var restrictedPkgs = map[string]bool{
 	"sim": true, "lock": true, "cpu": true, "nic": true,
 	"kernel": true, "tcb": true, "tcp": true, "vfs": true,
 	"epoll": true, "ktimer": true, "core": true, "netproto": true,
-	"workload": true, "experiment": true, "fault": true,
+	"workload": true, "experiment": true,
+	// fault makes the per-run fault decisions; it must stay on the
+	// seeded splitmix hash (no math/rand, no waivers) or replays and
+	// parallel sweeps diverge.
+	"fault": true,
 }
 
-// exemptPkgs mirrors internal/analysis.exemptPkgs. Exempt packages are
-// also barriers for the reachability pass: restricted code calling
-// into them is covered by the recorded exemption reason.
+// exemptPkgs are internal/<name> packages explicitly excluded from the
+// restricted set, with the reason on record. An entry here wins over
+// restrictedPkgs, so the exemption survives even if the restricted set
+// later becomes broader. Exempt packages are also barriers for the
+// reachability pass: restricted code calling into them is covered by
+// the recorded reason.
 var exemptPkgs = map[string]string{
+	// sweep runs independent simulation jobs on parallel host
+	// goroutines. Each job builds its own sim.Loop, seeds its own PRNGs
+	// and writes to its own result slot, so host scheduling can reorder
+	// only job completion, never a simulated outcome; go test -race
+	// ./internal/sweep asserts parallel results equal serial ones.
 	"sweep": "host-parallel sweep orchestration; jobs are whole independently-seeded simulations",
+	// shard steps disjoint coupling domains (whole sim.Loops) on real
+	// goroutines between barriers, and drains every cross-domain
+	// injection in (time, source shard, source sequence) order; make
+	// shardgate proves parallel == serial bit for bit.
 	"shard": "conservative-lookahead parallel engine; domains are whole sim.Loops synchronized at deterministic mailbox barriers",
 }
 
-// ForbiddenImports mirrors internal/analysis.forbiddenImports: the
-// packages whose reachability from restricted code fsvet reports.
+// ForbiddenImports are the packages a restricted package must not
+// import (determinism pass) or reach through any call chain (reach
+// pass).
 var ForbiddenImports = map[string]string{
 	"time":         "wall-clock time; use sim.Time",
 	"math/rand":    "host randomness; use sim.Rand",

@@ -35,8 +35,18 @@ import (
 //     sequential statement traversal tracking held classes through
 //     Acquire/Release/With and branch merges; each acquisition or
 //     summarized call emits (held x acquired) edges. The same walk
-//     flags paths that can return while still holding a lock acquired
-//     locally (no Release, no defer, not With-scoped).
+//     checks lock pairing: a path that can return (or a function
+//     literal that can finish) while still holding a lock acquired
+//     locally (no Release, no defer, not With-scoped); a lock taken
+//     again while held, keyed by class plus receiver and context
+//     expression so l.Acquire(a); l.Acquire(b) stays legal; a lock
+//     acquired in a loop body and still held when the body ends; and a
+//     successful TryAcquire guard whose branch falls through holding
+//     the lock.
+//
+// A lock API call whose receiver resolves to no class would escape
+// every check above, so it is a finding in itself: locks come from
+// lock.New / lock.NewSharded.
 //
 // Inversions are strongly-connected components of the class graph:
 // any cycle means two call chains disagree about ordering. Same-class
@@ -123,6 +133,7 @@ func (v *vetter) checkLocks(cg *callGraph, hot map[*types.Func]bool) (*lockAnaly
 		entryEdges: map[*types.Func][]entryEdge{},
 	}
 	la.resolveClasses()
+	la.reportUnclassed()
 	la.computeSummaries()
 	for _, fn := range cg.funcs {
 		if la.skipFunc(fn) {
@@ -133,8 +144,8 @@ func (v *vetter) checkLocks(cg *callGraph, hot map[*types.Func]bool) (*lockAnaly
 	// Deferred literals queue more as they are discovered.
 	for i := 0; i < len(la.deferredLits); i++ {
 		d := la.deferredLits[i]
-		w := &lockWalker{la: la, fn: d.in}
-		w.walkBody(d.lit.Body, newLockEnv())
+		w := &lockWalker{la: la, fn: d.in, localLits: map[types.Object]*ast.FuncLit{}}
+		w.walkLit(d.lit, nil)
 	}
 	la.reportInversions()
 	return la, la.sortedEdges()
@@ -143,6 +154,40 @@ func (v *vetter) checkLocks(cg *callGraph, hot map[*types.Func]bool) (*lockAnaly
 // skipFunc excludes internal/lock (the model itself) from the walk.
 func (la *lockAnalysis) skipFunc(fn *types.Func) bool {
 	return PkgDir(la.cg.pkgOf[fn]) == "internal/lock"
+}
+
+// reportUnclassed flags every lock API call outside internal/lock whose
+// receiver carries no resolved class.
+func (la *lockAnalysis) reportUnclassed() {
+	for _, ip := range la.v.prog.Paths {
+		if PkgDir(ip) == "internal/lock" {
+			continue
+		}
+		for _, file := range la.v.prog.Files[ip] {
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				fn := la.cg.staticCallee(call)
+				if fn == nil {
+					return true
+				}
+				switch fullName(fn) {
+				case lockAcquire, lockTryAcquire, lockRelease, lockWith:
+				default:
+					return true
+				}
+				recv := ast.Unparen(call.Fun).(*ast.SelectorExpr).X
+				if len(la.classesOf(recv)) == 0 {
+					la.v.report(call.Pos(), PassLockOrder,
+						"%s.%s on a lock with no resolved class: every lock check skips it; construct it with lock.New or lock.NewSharded",
+						types.ExprString(recv), fn.Name())
+				}
+				return true
+			})
+		}
+	}
 }
 
 // --- layer 1: class resolution ---------------------------------------
@@ -493,16 +538,24 @@ func (w *lockWalker) taOfCall(call *ast.CallExpr) classSet {
 // --- layer 3: held-set walk ------------------------------------------
 
 // lockEnv is the per-path walk state: classes held (with the position
-// of the acquisition, for findings) and classes whose release is
-// deferred.
+// of the acquisition, for findings), the lock instances behind them,
+// and classes whose release is deferred.
 type lockEnv struct {
 	held     map[string]token.Pos
+	inst     map[string]heldInst
 	deferred map[string]bool
 	dead     bool // path ended (return/panic); stop checking
 }
 
+// heldInst is one held lock instance, keyed in lockEnv.inst by class
+// plus receiver and context expression.
+type heldInst struct {
+	pos     token.Pos
+	classes classSet
+}
+
 func newLockEnv() *lockEnv {
-	return &lockEnv{held: map[string]token.Pos{}, deferred: map[string]bool{}}
+	return &lockEnv{held: map[string]token.Pos{}, inst: map[string]heldInst{}, deferred: map[string]bool{}}
 }
 
 func (e *lockEnv) clone() *lockEnv {
@@ -510,11 +563,24 @@ func (e *lockEnv) clone() *lockEnv {
 	for k, v := range e.held {
 		c.held[k] = v
 	}
+	for k, v := range e.inst {
+		c.inst[k] = v
+	}
 	for k := range e.deferred {
 		c.deferred[k] = true
 	}
 	c.dead = e.dead
 	return c
+}
+
+// instKey names the lock instance a lock API call operates on, as
+// receiver(context) plus its classes: "p.A(ctx) [corpus.a]".
+func instKey(classes classSet, call *ast.CallExpr) string {
+	key := types.ExprString(ast.Unparen(call.Fun).(*ast.SelectorExpr).X)
+	if len(call.Args) > 0 {
+		key += "(" + types.ExprString(call.Args[0]) + ")"
+	}
+	return key + " " + fmt.Sprint(classes.sorted())
 }
 
 // merge keeps the intersection of held sets from branches that fell
@@ -530,26 +596,33 @@ func (e *lockEnv) merge(branches ...*lockEnv) {
 		e.dead = true
 		return
 	}
-	merged := map[string]token.Pos{}
-	for k, v := range live[0].held {
-		in := true
-		for _, b := range live[1:] {
-			if _, ok := b.held[k]; !ok {
-				in = false
-				break
-			}
-		}
-		if in {
-			merged[k] = v
-		}
-	}
-	e.held = merged
+	e.held = intersect(live, func(b *lockEnv) map[string]token.Pos { return b.held })
+	e.inst = intersect(live, func(b *lockEnv) map[string]heldInst { return b.inst })
 	e.deferred = map[string]bool{}
 	for _, b := range live {
 		for k := range b.deferred {
 			e.deferred[k] = true
 		}
 	}
+}
+
+// intersect keeps the entries of the first branch's map whose keys
+// every branch holds.
+func intersect[V any](live []*lockEnv, m func(*lockEnv) map[string]V) map[string]V {
+	out := map[string]V{}
+	for k, v := range m(live[0]) {
+		in := true
+		for _, b := range live[1:] {
+			if _, ok := m(b)[k]; !ok {
+				in = false
+				break
+			}
+		}
+		if in {
+			out[k] = v
+		}
+	}
+	return out
 }
 
 type lockWalker struct {
@@ -639,12 +712,14 @@ func (w *lockWalker) walkStmt(stmt ast.Stmt, env *lockEnv) {
 		w.walkExpr(s.X, env)
 	case *ast.AssignStmt:
 		// Record local closures (x := func(){...}) so later calls
-		// through x resolve; then process RHS effects.
+		// through x resolve, and check their lock pairing on their own;
+		// then process RHS effects.
 		for i := range s.Lhs {
 			if i < len(s.Rhs) {
 				if lit, ok := ast.Unparen(s.Rhs[i]).(*ast.FuncLit); ok {
 					if id, ok := ast.Unparen(s.Lhs[i]).(*ast.Ident); ok {
 						w.localLits[w.la.v.prog.Info.ObjectOf(id)] = lit
+						w.walkLit(lit, nil)
 						continue
 					}
 				}
@@ -658,6 +733,7 @@ func (w *lockWalker) walkStmt(stmt ast.Stmt, env *lockEnv) {
 					for i, val := range vs.Values {
 						if lit, ok := ast.Unparen(val).(*ast.FuncLit); ok && i < len(vs.Names) {
 							w.localLits[w.la.v.prog.Info.ObjectOf(vs.Names[i])] = lit
+							w.walkLit(lit, nil)
 							continue
 						}
 						w.walkExpr(val, env)
@@ -706,12 +782,10 @@ func (w *lockWalker) walkStmt(stmt ast.Stmt, env *lockEnv) {
 		if s.Init != nil {
 			w.walkStmt(s.Init, env)
 		}
-		sub := env.clone()
-		w.walkBody(s.Body, sub)
+		w.walkLoop(s.Body, env)
 	case *ast.RangeStmt:
 		w.walkExpr(s.X, env)
-		sub := env.clone()
-		w.walkBody(s.Body, sub)
+		w.walkLoop(s.Body, env)
 	case *ast.SwitchStmt:
 		if s.Init != nil {
 			w.walkStmt(s.Init, env)
@@ -723,6 +797,24 @@ func (w *lockWalker) walkStmt(stmt ast.Stmt, env *lockEnv) {
 		w.walkStmt(s.Stmt, env)
 	case *ast.GoStmt:
 		// Forbidden by the determinism pass; ignore here.
+	}
+}
+
+// walkLoop walks one iteration of a loop body and flags locks the body
+// acquires and still holds, with no deferred release, when it ends:
+// the next iteration would take them again.
+func (w *lockWalker) walkLoop(body *ast.BlockStmt, env *lockEnv) {
+	sub := env.clone()
+	w.walkBody(body, sub)
+	if sub.dead {
+		return
+	}
+	for _, c := range sortedMapKeys(sub.held) {
+		if pos := sub.held[c]; pos >= body.Pos() && pos < body.End() && !sub.deferred[c] {
+			w.la.v.report(pos, PassLockOrder,
+				"%s acquires %q in a loop body and still holds it when the body ends: release it before the next iteration",
+				qualifiedName(w.fn), c)
+		}
 	}
 }
 
@@ -756,6 +848,8 @@ func (w *lockWalker) walkIf(s *ast.IfStmt, env *lockEnv) {
 	elseEnv := env.clone()
 
 	matched := false
+	var guard *ast.CallExpr
+	var guarded classSet
 	if call, neg := tryAcquireCond(s.Cond); call != nil {
 		if kind, classes := w.lockCall(call); kind == "tryacquire" {
 			matched = true
@@ -763,13 +857,10 @@ func (w *lockWalker) walkIf(s *ast.IfStmt, env *lockEnv) {
 			if neg {
 				// if !l.TryAcquire(c) { bail }: held on the else path
 				// and after a terminating then-branch.
-				for c := range classes {
-					elseEnv.held[c] = call.Pos()
-				}
+				w.hold(elseEnv, classes, call)
 			} else {
-				for c := range classes {
-					thenEnv.held[c] = call.Pos()
-				}
+				w.hold(thenEnv, classes, call)
+				guard, guarded = call, classes
 			}
 		}
 	}
@@ -778,6 +869,18 @@ func (w *lockWalker) walkIf(s *ast.IfStmt, env *lockEnv) {
 	}
 
 	w.walkBody(s.Body, thenEnv)
+	if guard != nil && !thenEnv.dead {
+		// if l.TryAcquire(c) { ... }: code after the statement runs
+		// whether or not the lock was taken, so the branch must not
+		// fall through holding it.
+		for _, c := range guarded.sorted() {
+			if thenEnv.held[c] == guard.Pos() && !thenEnv.deferred[c] {
+				w.la.v.report(guard.Pos(), PassLockOrder,
+					"%s: %q from this TryAcquire is still held when the guarded branch falls through: release it inside the branch",
+					qualifiedName(w.fn), c)
+			}
+		}
+	}
 	switch e := s.Else.(type) {
 	case *ast.BlockStmt:
 		w.walkBody(e, elseEnv)
@@ -897,6 +1000,12 @@ func (w *lockWalker) callSite(call *ast.CallExpr) string {
 // the env; other calls emit summary edges; literals route per their
 // execution context.
 func (w *lockWalker) walkExpr(e ast.Expr, env *lockEnv) {
+	if lit, ok := ast.Unparen(e).(*ast.FuncLit); ok {
+		// A literal stored for later (tm.fn = func(){...}) is assumed
+		// to run under the current held set, as an argument literal is.
+		w.walkLit(lit, heldUnion(w.outer, env))
+		return
+	}
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		// Non-call expressions can still contain calls (rare in
@@ -908,28 +1017,21 @@ func (w *lockWalker) walkExpr(e ast.Expr, env *lockEnv) {
 	switch kind {
 	case "acquire", "tryacquire":
 		w.emitEdges(env, classes, qualifiedName(w.fn))
-		for c := range classes {
-			env.held[c] = call.Pos()
-		}
+		w.hold(env, classes, call)
 		return
 	case "release":
-		for c := range classes {
-			delete(env.held, c)
-			delete(env.deferred, c)
-		}
+		w.release(env, classes, call)
 		return
 	case "with":
 		w.emitEdges(env, classes, qualifiedName(w.fn))
 		// Walk the body with the class held in the outer set.
 		if len(call.Args) >= 2 {
-			sub := &lockWalker{la: w.la, fn: w.fn, localLits: w.localLits,
-				outer: w.withOuter(env, classes)}
 			switch f := ast.Unparen(call.Args[1]).(type) {
 			case *ast.FuncLit:
-				sub.walkBody(f.Body, newLockEnv())
+				w.walkLit(f, w.withOuter(env, classes))
 			case *ast.Ident:
 				if lit := w.localLits[w.la.v.prog.Info.ObjectOf(f)]; lit != nil {
-					sub.walkBody(lit.Body, newLockEnv())
+					w.walkLit(lit, w.withOuter(env, classes))
 				}
 			}
 		}
@@ -957,8 +1059,7 @@ func (w *lockWalker) walkExpr(e ast.Expr, env *lockEnv) {
 
 	// Immediate literal call: func(){...}(...).
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		sub := &lockWalker{la: w.la, fn: w.fn, localLits: w.localLits, outer: heldUnion(w.outer, env)}
-		sub.walkBody(lit.Body, newLockEnv())
+		w.walkLit(lit, heldUnion(w.outer, env))
 		return
 	}
 
@@ -973,11 +1074,60 @@ func (w *lockWalker) walkExpr(e ast.Expr, env *lockEnv) {
 			// under the current held set — sort.Slice callbacks,
 			// helper visitors. The assumption is conservative in the
 			// edge direction only: with nothing held it adds nothing.
-			sub := &lockWalker{la: w.la, fn: w.fn, localLits: w.localLits, outer: heldUnion(w.outer, env)}
-			sub.walkBody(lit.Body, newLockEnv())
+			w.walkLit(lit, heldUnion(w.outer, env))
 			continue
 		}
 		w.walkExprCond(arg, env)
+	}
+}
+
+// walkLit walks a function literal as a function of its own: a fresh
+// held set, the enclosing context's classes as outer, and its own exit
+// check (its lock pairing is its own).
+func (w *lockWalker) walkLit(lit *ast.FuncLit, outer classSet) {
+	sub := &lockWalker{la: w.la, fn: w.fn, localLits: w.localLits, outer: outer}
+	env := newLockEnv()
+	sub.walkBody(lit.Body, env)
+	sub.checkExit(env, lit.Body.End())
+}
+
+// hold records an acquisition on this path and reports it if the same
+// lock instance is already held.
+func (w *lockWalker) hold(env *lockEnv, classes classSet, call *ast.CallExpr) {
+	if len(classes) == 0 {
+		return // reported by reportUnclassed
+	}
+	key := instKey(classes, call)
+	if prev, ok := env.inst[key]; ok {
+		w.la.v.report(call.Pos(), PassLockOrder,
+			"%s acquires %s again while already holding it (acquired at %s)",
+			qualifiedName(w.fn), key, w.la.v.prog.RelPos(prev.pos))
+	}
+	env.inst[key] = heldInst{pos: call.Pos(), classes: classes}
+	for c := range classes {
+		env.held[c] = call.Pos()
+	}
+}
+
+// release drops the released classes and instance. A Release spelled
+// differently from its Acquire (an alias) drops every held instance of
+// the class, so aliasing can hide a re-acquire but never invent one.
+func (w *lockWalker) release(env *lockEnv, classes classSet, call *ast.CallExpr) {
+	for c := range classes {
+		delete(env.held, c)
+		delete(env.deferred, c)
+	}
+	if key := instKey(classes, call); env.inst[key].pos.IsValid() {
+		delete(env.inst, key)
+		return
+	}
+	for k, h := range env.inst {
+		for c := range classes {
+			if h.classes[c] {
+				delete(env.inst, k)
+				break
+			}
+		}
 	}
 }
 

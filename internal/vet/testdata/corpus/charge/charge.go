@@ -14,6 +14,11 @@ type Table struct {
 	mu    *lock.SpinLock
 }
 
+// NewTable names the table's lock, so its class resolves.
+func NewTable() *Table {
+	return &Table{slots: map[int]int{}, mu: lock.New("corpus.table", 0)}
+}
+
 func (tb *Table) FreeMutate(t *cpu.Task) {
 	tb.n++ // want "never calls Charge/Spin"
 }

@@ -2,7 +2,11 @@
 // under a synthetic restricted import path; never built normally.
 package corpus
 
-import "sort"
+import (
+	"sort"
+
+	"fastsocket/vetcorpus/reachutil"
+)
 
 // Registry hides a map behind a named type: the syntactic analyzer
 // cannot see map-ness here, the typed pass can.
@@ -15,6 +19,10 @@ func Spawn(fn func()) {
 func UseChannel(c chan int) { // want "channel types are forbidden"
 	c <- 1 // want "channel sends are forbidden"
 	<-c    // want "channel receives are forbidden"
+}
+
+func Block() {
+	select {} // want "select statements are forbidden"
 }
 
 func RangeNamedMap(r Registry) int {
@@ -50,4 +58,33 @@ func RangeSlice(xs []int) int {
 		total += v
 	}
 	return total
+}
+
+type table struct{ rows map[int]string }
+
+// RangeLocalAndField ranges over a local map and a map-typed field.
+func RangeLocalAndField(tb *table) int {
+	n := 0
+	local := make(map[int]bool)
+	for range local { // want "iteration over map local"
+		n++
+	}
+	for range tb.rows { // want "iteration over map tb.rows"
+		n++
+	}
+	return n
+}
+
+// RangeCallResult ranges over a map that a function in another package
+// returns, directly and through a local.
+func RangeCallResult() int {
+	n := 0
+	for range reachutil.Counts() { // want "iteration over map reachutil.Counts\(\)"
+		n++
+	}
+	m := reachutil.Counts()
+	for range m { // want "iteration over map m"
+		n++
+	}
+	return n
 }

@@ -11,14 +11,11 @@ func RangeWaived(r Registry) int {
 	return n
 }
 
-// RangeWaivedByFslint is suppressed through the federated fslint
-// directive (determinism covers the typed determinism pass too).
-func RangeWaivedByFslint(r Registry) int {
-	n := 0
-	//fslint:ignore determinism corpus: order-insensitive count
-	for range r {
-		n++
-	}
+// RangeFixed once needed a waiver; the loop below it is gone, so the
+// directive suppresses nothing and is itself a finding.
+func RangeFixed(xs []int) int {
+	n := len(xs)
+	//fsvet:ignore determinism corpus: left behind after the loop was fixed // want "stale //fsvet:ignore determinism directive"
 	return n
 }
 
@@ -28,3 +25,7 @@ func RangeWaivedByFslint(r Registry) int {
 // body asserts the "needs a reason" finding directly (a want comment
 // here would become part of the directive itself).
 //fsvet:ignore units
+
+// The next directive names neither a pass nor a reason; the test body
+// asserts its finding directly, as above.
+//fsvet:ignore

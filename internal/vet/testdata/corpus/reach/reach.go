@@ -1,6 +1,6 @@
 // Golden corpus for the reach pass: restricted code reaching a
 // forbidden import through a module call chain rather than a direct
-// import (which fslint would already catch).
+// import (which the determinism pass catches).
 package corpus
 
 import "fastsocket/vetcorpus/reachutil"

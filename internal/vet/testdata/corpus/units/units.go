@@ -13,6 +13,12 @@ func Calls() sim.Time {
 	return total
 }
 
+// Waived carries an audited waiver for a raw nanosecond value.
+func Waived() sim.Time {
+	//fsvet:ignore units corpus: calibrated raw nanosecond value
+	return Wait(123456)
+}
+
 func Convert() sim.Time {
 	return sim.Time(250000) // want "bare integer 250000 in a sim.Time position"
 }

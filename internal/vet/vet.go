@@ -1,12 +1,12 @@
-// Package vet implements fsvet, the types-aware half of the project's
-// static analysis (fslint in internal/analysis is the syntactic fast
-// half). fsvet type-checks the whole module with go/types — go.mod
-// stays dependency-free; only the standard library is used — and runs
-// interprocedural passes the syntactic analyzer cannot express:
+// Package vet implements fsvet, the project's static analyzer. It
+// type-checks the whole module with go/types — go.mod stays
+// dependency-free; only the standard library is used — and runs these
+// passes over the one load:
 //
-//   - determinism: map iteration checked against real types (method-set
-//     resolution instead of name heuristics), with the same
-//     sorted-collect allowance as fslint.
+//   - determinism: restricted packages must not import time, math/rand
+//     or sync, launch goroutines, use channels or select, or range over
+//     a map (recognized by its type, not its name) unless the loop body
+//     only collects into a slice that is sorted afterwards.
 //   - reach: restricted-import reachability — restricted packages must
 //     not reach time/math/rand/sync functionality through any call
 //     chain, not merely avoid importing it directly. Exempt packages
@@ -17,8 +17,13 @@
 //   - lockorder: an interprocedural static lock-order graph. Held
 //     lock.SpinLock class sets propagate across the call graph
 //     (including interface devirtualization, e.g. tcp.Env to
-//     *kernel.Kernel); the pass reports potential order inversions and
-//     functions that can return while holding a lock they acquired.
+//     *kernel.Kernel); the pass reports potential order inversions. It
+//     also checks lock pairing in every module function and function
+//     literal: a path that returns holding a lock it acquired, a lock
+//     taken again while held, a lock still held at the end of the loop
+//     body that acquired it, a TryAcquire guard whose branch falls
+//     through holding the lock, and a lock call whose class does not
+//     resolve.
 //   - charge: functions in restricted packages that mutate reachable
 //     kernel/TCB/VFS state on some path without charging virtual time
 //     (Charge/Spin, directly or transitively) — simulated work that
@@ -32,7 +37,7 @@
 //     roots, checked in both directions against the committed
 //     per-function budget in .fsvet-allocbudget.json; the budget's
 //     runtime ceilings are cross-checked against MemStats and
-//     testing.AllocsPerRun by fsvet -alloc-cross-check.
+//     testing.AllocsPerRun by the runtime alloc cross-check.
 //   - shard: hot-path writes to kernel/TCB/stats state must be under a
 //     lock at the site, in a function only ever entered with a lock
 //     held, on //fsvet:percore state, or explicitly waived with
@@ -54,30 +59,24 @@
 //     it with //fsvet:fsm <reason>); a spec edge with no static site
 //     means the implementation lost the edge or the spec is stale. The
 //     extracted relation (Result.FSMGraph) is also the reference for
-//     the runtime cross-check: fsvet -fsm-cross-check replays the fsm
-//     experiment mix under the stats.FSMTrace transition tracer and
-//     fails if any observed transition lacks a static site or the mix
-//     covers less than FSMCoverageFloor of the spec's non-defensive
-//     edges.
+//     the runtime cross-check: cmd/fsvet replays the fsm experiment mix
+//     under the stats.FSMTrace transition tracer and fails if any
+//     observed transition lacks a static site or the mix covers less
+//     than FSMCoverageFloor of the spec's non-defensive edges.
 //
 // Findings are suppressible per line with
 //
 //	//fsvet:ignore <pass> <reason>
 //
 // on the finding's line or the line above (fsm findings also accept
-// the shorthand //fsvet:fsm <reason>). Existing //fslint:ignore
-// directives are honored too (determinism covers determinism+reach,
-// locks covers lockorder, units covers units), so a waiver audited for
-// fslint does not need to be duplicated. Waivers must earn their keep:
-// a directive that suppresses nothing — no finding on its line or the
+// the shorthand //fsvet:fsm <reason>). Waivers must earn their keep: a
+// directive that suppresses nothing — no finding on its line or the
 // next — is itself reported as stale, so audited exceptions cannot
-// outlive the code they excused. A committed baseline file (JSON, same
-// shape as -json output) can park pre-existing findings; the
-// repository's baseline is kept empty.
+// outlive the code they excused. fsvet loads no _test.go file, so none
+// of these checks covers tests.
 package vet
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -115,15 +114,6 @@ var knownPasses = map[string]bool{
 	PassFSM:         true,
 }
 
-// fslintRuleCovers maps an //fslint:ignore rule to the fsvet passes it
-// also suppresses: the typed passes re-check the same invariants, so
-// an audited fslint waiver keeps working without duplication.
-var fslintRuleCovers = map[string][]string{
-	"determinism": {PassDeterminism, PassReach},
-	"locks":       {PassLockOrder},
-	"units":       {PassUnits},
-}
-
 // Finding is one fsvet diagnostic with a stable, root-relative anchor.
 type Finding struct {
 	File string `json:"file"`
@@ -137,12 +127,6 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.File, f.Line, f.Col, f.Pass, f.Msg)
 }
 
-// key is the identity used for baseline matching: position column is
-// excluded so mechanical reformatting does not un-baseline a finding.
-func (f Finding) key() string {
-	return fmt.Sprintf("%s:%d [%s] %s", f.File, f.Line, f.Pass, f.Msg)
-}
-
 // Result is a complete fsvet run: the findings plus the static
 // lock-order graph (for the lockdep cross-check) and the static TCP
 // transition relation (for the fsm cross-check).
@@ -152,28 +136,10 @@ type Result struct {
 	FSMGraph  []FSMTransition `json:"fsm_graph"`
 }
 
-// JSON renders the result in a stable form: findings sorted by
-// position, lock graph sorted by (outer, inner). Two runs over the
-// same tree produce byte-identical output.
-func (r *Result) JSON() []byte {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		panic("vet: result marshal: " + err.Error())
-	}
-	return append(b, '\n')
-}
-
 // Run executes every pass over the program — independent passes run
 // concurrently on a single shared type-checked load — and returns the
 // sorted, unsuppressed findings plus the static lock and fsm graphs.
-func Run(p *Program) *Result { return run(p, true) }
-
-// RunSerial is Run with the passes executed sequentially; fsvet's
-// -bench-out uses it to keep an honest before/after record of the
-// concurrent scheduling in BENCH_vet.json.
-func RunSerial(p *Program) *Result { return run(p, false) }
-
-func run(p *Program, parallel bool) *Result {
+func Run(p *Program) *Result {
 	v := &vetter{prog: p, sup: collectDirectives(p)}
 	v.findings = append(v.findings, v.sup.malformed...)
 
@@ -203,21 +169,15 @@ func run(p *Program, parallel bool) *Result {
 		func() { v.checkMailbox(cg, mk) },
 		func() { fsmGraph = v.checkFSM(cg) },
 	}
-	if parallel {
-		var wg sync.WaitGroup
-		for _, g := range groups {
-			wg.Add(1)
-			go func(g func()) {
-				defer wg.Done()
-				g()
-			}(g)
-		}
-		wg.Wait()
-	} else {
-		for _, g := range groups {
+	var wg sync.WaitGroup
+	for _, g := range groups {
+		wg.Add(1)
+		go func(g func()) {
+			defer wg.Done()
 			g()
-		}
+		}(g)
 	}
+	wg.Wait()
 
 	// Stale waivers: an //fsvet:ignore or //fsvet:fsm directive that
 	// suppressed nothing this run protects nothing and must go.
@@ -247,44 +207,6 @@ func run(p *Program, parallel bool) *Result {
 		return a.Msg < b.Msg
 	})
 	return &Result{Findings: v.findings, LockGraph: lockGraph, FSMGraph: fsmGraph}
-}
-
-// ApplyBaseline removes findings recorded in the baseline, returning
-// the survivors and the baseline entries that no longer match (stale
-// entries should be pruned from the file).
-func ApplyBaseline(findings []Finding, baseline []Finding) (fresh, stale []Finding) {
-	base := map[string]int{}
-	for _, f := range baseline {
-		base[f.key()]++
-	}
-	for _, f := range findings {
-		if base[f.key()] > 0 {
-			base[f.key()]--
-			continue
-		}
-		fresh = append(fresh, f)
-	}
-	for _, f := range baseline {
-		if base[f.key()] > 0 {
-			base[f.key()]--
-			stale = append(stale, f)
-		}
-	}
-	return fresh, stale
-}
-
-// ParseBaseline reads a baseline file: the JSON of a previous -json
-// run (a Result) or a bare finding list.
-func ParseBaseline(data []byte) ([]Finding, error) {
-	var r Result
-	if err := json.Unmarshal(data, &r); err == nil && (r.Findings != nil || r.LockGraph != nil) {
-		return r.Findings, nil
-	}
-	var fs []Finding
-	if err := json.Unmarshal(data, &fs); err != nil {
-		return nil, fmt.Errorf("vet: baseline is neither a result nor a finding list: %w", err)
-	}
-	return fs, nil
 }
 
 // vetter carries the shared state of one Run. The mutex serializes
@@ -334,9 +256,8 @@ type supKey struct {
 
 // trackedDirective is a waiver eligible for staleness reporting:
 // //fsvet:ignore and //fsvet:fsm directives must suppress something
-// every run or be removed. (//fsvet:shared markers and federated
-// //fslint:ignore directives are excluded — the former is state
-// documentation as much as a waiver, the latter is fslint's to audit.)
+// every run or be removed. (//fsvet:shared markers are excluded: they
+// are state documentation as much as waivers.)
 type trackedDirective struct {
 	key  supKey
 	col  int
@@ -363,10 +284,9 @@ func (s *suppressor) suppressed(file string, line int, pass string) bool {
 	return hit
 }
 
-// collectDirectives gathers //fsvet:ignore and //fsvet:fsm directives
-// (and the fslint ones they federate with) across every loaded file.
-// Malformed fsvet directives are findings: they silently protect
-// nothing.
+// collectDirectives gathers //fsvet:ignore, //fsvet:fsm and
+// //fsvet:shared directives across every loaded file. Malformed ones
+// are findings: they silently protect nothing.
 func collectDirectives(p *Program) *suppressor {
 	s := &suppressor{lines: map[supKey]bool{}, used: map[supKey]bool{}}
 	for _, ip := range p.Paths {
@@ -418,16 +338,6 @@ func (s *suppressor) directive(p *Program, c *ast.Comment) {
 		// shard pass on its line; collectMarkers reports malformed ones.
 		if len(strings.Fields(strings.TrimPrefix(text, "fsvet:shared"))) > 0 {
 			s.lines[supKey{tp.Filename, tp.Line, PassShard}] = true
-		}
-	case strings.HasPrefix(text, "fslint:ignore"):
-		// fslint validates its own directives; here we only honor the
-		// well-formed ones for the passes they cover.
-		fields := strings.Fields(strings.TrimPrefix(text, "fslint:ignore"))
-		if len(fields) < 2 {
-			return
-		}
-		for _, pass := range fslintRuleCovers[fields[0]] {
-			s.lines[supKey{tp.Filename, tp.Line, pass}] = true
 		}
 	}
 }

@@ -3,6 +3,7 @@ package vet
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -102,7 +103,7 @@ func collectWants(t *testing.T, overlay map[string]string) []expectation {
 // TestGoldenCorpus loads the repository plus the corpus overlays and
 // checks every pass against the annotated expectations. It doubles as
 // the repository-cleanliness gate: any finding outside the corpus is a
-// failure (the committed baseline is empty).
+// failure.
 func TestGoldenCorpus(t *testing.T) {
 	overlay := corpusOverlay(t)
 	prog, err := LoadWithOverlay(repoRoot, overlay)
@@ -117,8 +118,13 @@ func TestGoldenCorpus(t *testing.T) {
 	wants = append(wants,
 		expectation{
 			file: "internal/vet/testdata/corpus/determinism/directives.go",
-			line: 30,
+			line: 27,
 			re:   regexp.MustCompile(`fsvet:ignore units needs a reason`),
+		},
+		expectation{
+			file: "internal/vet/testdata/corpus/determinism/directives.go",
+			line: 31,
+			re:   regexp.MustCompile(`fsvet:ignore needs a pass and a reason`),
 		},
 		expectation{
 			file: "internal/vet/testdata/corpus/shard/directives.go",
@@ -272,7 +278,10 @@ func TestRunIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[i] = Run(prog).JSON()
+		out[i], err = json.MarshalIndent(Run(prog), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !bytes.Equal(out[0], out[1]) {
 		t.Fatalf("two runs produced different JSON:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", out[0], out[1])
@@ -380,30 +389,43 @@ func TestTCPSpecNames(t *testing.T) {
 	}
 }
 
-// TestBaselineRoundTrip exercises baseline parsing and matching,
-// including staleness detection and the column-insensitive key.
-func TestBaselineRoundTrip(t *testing.T) {
-	findings := []Finding{
-		{File: "a.go", Line: 1, Col: 2, Pass: PassUnits, Msg: "m1"},
-		{File: "b.go", Line: 3, Col: 4, Pass: PassCharge, Msg: "m2"},
+// TestRestrictedPathMatching pins which import paths the determinism,
+// units and charge passes treat as simulation code: the restricted
+// internal packages and their subpackages, but not tooling, commands,
+// the module root, or the exempt host-parallel packages.
+func TestRestrictedPathMatching(t *testing.T) {
+	cases := []struct {
+		path string
+		want bool
+	}{
+		{"fastsocket/internal/sim", true},
+		{"fastsocket/internal/experiment", true},
+		{"fastsocket/internal/fault", true},
+		{"fastsocket/internal/kernel/x", true},
+		{"fastsocket/internal/app", false},
+		{"fastsocket/internal/vet", false},
+		{"fastsocket/cmd/fsvet", false},
+		{"fastsocket/cmd/fsperf", false},
+		{"fastsocket", false},
+		// Exempt: they run whole simulations on host goroutines.
+		{"fastsocket/internal/sweep", false},
+		{"fastsocket/internal/shard", false},
 	}
-	res := &Result{Findings: findings, LockGraph: []StaticEdge{}}
-	base, err := ParseBaseline(res.JSON())
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range cases {
+		if got := Restricted(c.path); got != c.want {
+			t.Errorf("Restricted(%q) = %v, want %v", c.path, got, c.want)
+		}
 	}
-	// Column drift must not un-baseline a finding; a fixed finding must
-	// be reported stale.
-	current := []Finding{{File: "a.go", Line: 1, Col: 9, Pass: PassUnits, Msg: "m1"}}
-	fresh, stale := ApplyBaseline(current, base)
-	if len(fresh) != 0 {
-		t.Errorf("fresh = %v, want none", fresh)
-	}
-	if len(stale) != 1 || stale[0].File != "b.go" {
-		t.Errorf("stale = %v, want the fixed b.go entry", stale)
-	}
-	if _, err := ParseBaseline([]byte("not json")); err == nil {
-		t.Errorf("ParseBaseline accepted garbage")
+	// An exemption wins even if the restricted set grows to cover it.
+	for _, name := range []string{"sweep", "shard"} {
+		if exemptPkgs[name] == "" {
+			t.Errorf("internal/%s has no recorded exemption", name)
+		}
+		restrictedPkgs[name] = true
+		if Restricted("fastsocket/internal/" + name) {
+			t.Errorf("exempt internal/%s is restricted once listed in restrictedPkgs", name)
+		}
+		delete(restrictedPkgs, name)
 	}
 }
 

@@ -95,7 +95,7 @@ func (tb *Tables) CloneListener(t *cpu.Task, global *tcp.Sock, core int) *tcp.So
 	}
 	local := tcp.NewSock(global.Params, 0)
 	local.Local = global.Local
-	local.SetState(tcp.Listen)
+	local.Transition(1<<tcp.Closed, tcp.Listen)
 	local.HomeCore = core
 	local.Parent = global
 	tb.LocalListen[core].Insert(t, local)
@@ -108,6 +108,6 @@ func (tb *Tables) RemoveLocalListener(t *cpu.Task, localSk *tcp.Sock) bool {
 	if !tb.UseLocalListen() {
 		return false
 	}
-	localSk.SetState(tcp.Closed)
+	localSk.Transition(1<<tcp.Listen, tcp.Closed)
 	return tb.LocalListen[localSk.HomeCore].Remove(t, localSk)
 }

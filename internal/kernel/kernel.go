@@ -187,7 +187,7 @@ type Kernel struct {
 	pool  *netproto.PacketPool
 	socks *tcp.SockPool
 	// fsm is the runtime TCP transition matrix, installed into the
-	// cloned tcp.Params so every Sock.SetState of this kernel lands
+	// cloned tcp.Params so every Sock.Transition of this kernel lands
 	// here (the dynamic half of the fsvet fsm cross-check).
 	fsm *stats.FSMTrace
 	//fsvet:percore extension free list shards per-core with the engine (per-CPU slab caches); today one event loop serializes access

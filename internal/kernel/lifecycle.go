@@ -178,7 +178,7 @@ func (k *Kernel) dropListeners(t *cpu.Task, silent, drain bool) {
 		lex.nextWake = 0
 		k.tables.GlobalListen.Remove(t, lsk)
 		k.abortBacklog(t, lsk, silent, drain)
-		lsk.SetState(tcp.Closed)
+		lsk.Transition(1<<tcp.Listen, tcp.Closed)
 	}
 	k.allListeners = k.allListeners[:0]
 }
@@ -262,7 +262,7 @@ func (k *Kernel) hostRestart(t *cpu.Task) {
 			continue
 		}
 		lex := ext(lsk).listen
-		lsk.SetState(tcp.Listen)
+		lsk.Transition(1<<tcp.Closed, tcp.Listen)
 		lsk.AcceptQueue = lsk.AcceptQueue[:0]
 		lsk.SynQueue = 0
 		lex.clones = map[int]*tcp.Sock{}
@@ -391,7 +391,7 @@ func (k *Kernel) detachWorkerListeners(t *cpu.Task, p *Process, drain bool) {
 			// The worker's own SO_REUSEPORT listener dies with it.
 			k.tables.GlobalListen.Remove(t, lsk)
 			k.abortBacklog(t, lsk, false, drain)
-			lsk.SetState(tcp.Closed)
+			lsk.Transition(1<<tcp.Listen, tcp.Closed)
 			continue
 		}
 		kept = append(kept, lsk)

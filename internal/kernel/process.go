@@ -222,7 +222,7 @@ func (p *Process) Listen(t *cpu.Task, fd int) error {
 		return fmt.Errorf("kernel: listen on %v socket", e.sk.State)
 	}
 	t.Charge(k.cfg.Costs.ListenSetup)
-	e.sk.SetState(tcp.Listen)
+	e.sk.Transition(1<<tcp.Closed, tcp.Listen)
 	e.listen = &listenExt{global: e.sk, clones: map[int]*tcp.Sock{}}
 	k.tables.GlobalListen.Insert(t, e.sk)
 	k.allListeners = append(k.allListeners, e.sk)
@@ -235,7 +235,7 @@ func (p *Process) Listen(t *cpu.Task, fd int) error {
 func (k *Kernel) BootListener(addr netproto.Addr) *tcp.Sock {
 	sk := tcp.NewSock(k.cfg.TCP, k.cfg.Costs.LockBounce)
 	sk.Local = addr
-	sk.SetState(tcp.Listen)
+	sk.Transition(1<<tcp.Closed, tcp.Listen)
 	e := k.getExt(sk)
 	e.listen = &listenExt{global: sk, clones: map[int]*tcp.Sock{}}
 	e.file = k.vfsl.AllocBoot(sk)

@@ -12,7 +12,7 @@ import (
 const FSMMaxStates = 16
 
 // FSMTrace is the runtime half of the fsvet fsm cross-check: a dense
-// old-state × new-state counter matrix fed by every Sock.SetState call
+// old-state × new-state counter matrix fed by every Sock.Transition call
 // of one kernel. Recording is a single array increment — no
 // allocation, no branches beyond the nil guard at the call site — so
 // the tracer stays on even in measured runs. The matrix is per-kernel

@@ -43,6 +43,15 @@ const (
 // NumStates is the number of TCP states (TimeWait is the last).
 const NumStates = int(TimeWait) + 1
 
+// States is a set of TCP states, bit 1<<s for state s: the priors a
+// Transition declares, written as a constant union such as
+// 1<<FinWait2 | 1<<Closing.
+type States uint16
+
+// AnyState is every state: the priors of the abort path, which RST,
+// retransmit exhaustion and the lifecycle sweeps reach from anywhere.
+const AnyState States = 1<<NumStates - 1
+
 var stateNames = [...]string{
 	"CLOSED", "LISTEN", "SYN_SENT", "SYN_RCVD", "ESTABLISHED",
 	"FIN_WAIT1", "FIN_WAIT2", "CLOSE_WAIT", "LAST_ACK", "CLOSING",
@@ -95,7 +104,7 @@ type Params struct {
 	Socks *SockPool
 
 	// Trace, when non-nil, receives every state transition made
-	// through Sock.SetState — the kernel installs its per-kernel
+	// through Sock.Transition — the kernel installs its per-kernel
 	// matrix here so runtime behaviour can be diffed against the
 	// fsvet fsm pass's static transition relation.
 	Trace *stats.FSMTrace
@@ -218,17 +227,39 @@ func (sk *Sock) Tuple() netproto.FourTuple {
 	return netproto.FourTuple{Src: sk.Remote, Dst: sk.Local}
 }
 
-// SetState performs a TCP state transition, feeding the kernel's
-// runtime transition matrix when one is installed (the dynamic half of
-// the fsvet fsm cross-check). Every lifecycle transition in the module
-// goes through here; only birth sites (NewSock, Reinit) write the
-// field directly, because a recycled block coming off the free list is
-// not a protocol transition.
-func (sk *Sock) SetState(s State) {
-	if tr := sk.Params.Trace; tr != nil {
-		tr.Record(int(sk.State), int(s))
+// Transition moves the socket to state to, feeding the kernel's
+// runtime transition matrix when one is installed. from declares the
+// states the caller's own guards allow the socket to be in; a socket in
+// any other state is a bug, and Transition panics. Both arguments are
+// constants at every call, so the fsvet fsm pass reads each call's
+// from × to edges off its arguments and diffs them against the spec,
+// and this assertion holds every transition that runs to its call's
+// declared set. Only the birth literals in NewSock and Reinit write
+// State directly: a recycled block coming off the free list is not a
+// protocol transition.
+func (sk *Sock) Transition(from States, to State) {
+	if from&(1<<uint(sk.State)) == 0 {
+		sk.undeclaredPrior(from, to)
 	}
-	sk.State = s //fsvet:shared callers hold the slock except the deliberately lockless cookie path (AcceptCookieACK); runtime lockdep is the backstop
+	if tr := sk.Params.Trace; tr != nil {
+		tr.Record(int(sk.State), int(to))
+	}
+	sk.State = to //fsvet:shared callers hold the slock except the deliberately lockless cookie path (AcceptCookieACK); runtime lockdep is the backstop
+}
+
+// undeclaredPrior panics for a Transition whose current state is
+// outside its declared priors. It builds the message out of line so
+// Transition's success path stays one branch with no allocation.
+func (sk *Sock) undeclaredPrior(from States, to State) {
+	msg := "tcp: transition " + sk.State.String() + " -> " + to.String() + " from undeclared prior; declared {"
+	sep := ""
+	for s := Closed; int(s) < NumStates; s++ {
+		if from&(1<<uint(s)) != 0 {
+			msg += sep + s.String()
+			sep = ", "
+		}
+	}
+	panic(msg + "}")
 }
 
 // NewSock returns a CLOSED socket with its slock and cache lines
@@ -328,11 +359,8 @@ func (sk *Sock) track(p *netproto.Packet) {
 // the established table (Linux inserts at connect time so the
 // SYN-ACK can be demultiplexed).
 func ConnectStart(env Env, t *cpu.Task, sk *Sock, isn uint32) {
-	if sk.State != Closed {
-		panic("tcp: connect on " + sk.State.String() + " socket")
-	}
+	sk.Transition(1<<Closed, SynSent)
 	sk.SndNxt, sk.SndUna = isn, isn
-	sk.SetState(SynSent)
 	p := sk.mkseg(netproto.SYN, nil, false)
 	sk.track(p)
 	env.Transmit(t, sk, p)
@@ -374,7 +402,7 @@ func ListenInput(env Env, t *cpu.Task, listener *Sock, p *netproto.Packet, isn u
 	child.Local = p.Dst
 	child.Remote = p.Src
 	child.HomeCore = t.CoreID()
-	child.SetState(SynRcvd)
+	child.Transition(1<<Closed, SynRcvd)
 	child.Parent = listener
 	child.RcvNxt = p.Seq + 1
 	child.SndNxt, child.SndUna = isn, isn
@@ -450,7 +478,7 @@ func inputSynSent(env Env, t *cpu.Task, sk *Sock, p *netproto.Packet) {
 	}
 	sk.RcvNxt = p.Seq + 1
 	ackUpdate(env, t, sk, p)
-	sk.SetState(Established)
+	sk.Transition(1<<SynSent, Established)
 	env.Transmit(t, sk, sk.mkseg(0, nil, true))
 	env.ConnectDone(t, sk, nil)
 }
@@ -469,7 +497,7 @@ func inputSynRcvd(env Env, t *cpu.Task, sk *Sock, p *netproto.Packet) {
 		sk.DroppedSegs++
 		return
 	}
-	sk.SetState(Established)
+	sk.Transition(1<<SynRcvd, Established)
 	if sk.Parent != nil && sk.Parent.SynQueue > 0 {
 		sk.Parent.SynQueue--
 	}
@@ -507,7 +535,7 @@ func inputStream(env Env, t *cpu.Task, sk *Sock, p *netproto.Packet) {
 
 	// In FIN_WAIT_1, our FIN being acknowledged advances the close.
 	if sk.State == FinWait1 && acked && sk.SndUna == sk.SndNxt {
-		sk.SetState(FinWait2)
+		sk.Transition(1<<FinWait1, FinWait2)
 	}
 
 	advanced := false
@@ -541,11 +569,11 @@ func inputStream(env Env, t *cpu.Task, sk *Sock, p *netproto.Packet) {
 		advanced = true
 		switch sk.State {
 		case Established:
-			sk.SetState(CloseWait)
+			sk.Transition(1<<Established, CloseWait)
 		case FinWait1:
 			// A FIN that also acknowledges ours moved the socket to
 			// FIN_WAIT2 above, so here our FIN is still unacknowledged.
-			sk.SetState(Closing)
+			sk.Transition(1<<FinWait1, Closing)
 		case FinWait2:
 			env.Transmit(t, sk, sk.mkseg(0, nil, true))
 			enterTimeWait(env, t, sk)
@@ -566,7 +594,7 @@ func inputClosingSide(env Env, t *cpu.Task, sk *Sock, p *netproto.Packet) {
 	switch sk.State {
 	case LastAck:
 		if acked && sk.SndUna == sk.SndNxt {
-			sk.SetState(Closed)
+			sk.Transition(1<<LastAck, Closed)
 			env.Destroy(t, sk)
 		}
 	case Closing:
@@ -582,7 +610,7 @@ func inputClosingSide(env Env, t *cpu.Task, sk *Sock, p *netproto.Packet) {
 }
 
 func enterTimeWait(env Env, t *cpu.Task, sk *Sock) {
-	sk.SetState(TimeWait)
+	sk.Transition(1<<FinWait2|1<<Closing, TimeWait)
 	env.CancelRetransmit(t, sk)
 	env.StartTimeWait(t, sk)
 }
@@ -596,7 +624,7 @@ func abortWith(env Env, t *cpu.Task, sk *Sock, reason error) {
 		sk.Parent.SynQueue--
 	}
 	wasUsable := sk.State == SynSent
-	sk.SetState(Closed)
+	sk.Transition(AnyState, Closed)
 	sk.RcvFIN = true // readers see EOF
 	env.CancelRetransmit(t, sk)
 	if wasUsable {
@@ -692,24 +720,24 @@ func Close(env Env, t *cpu.Task, sk *Sock) {
 		sk.track(fin)
 		env.Transmit(t, sk, fin)
 		env.ArmRetransmit(t, sk, sk.Params.InitialRTO)
-		sk.SetState(FinWait1)
+		sk.Transition(1<<Established, FinWait1)
 	case CloseWait:
 		fin := sk.mkseg(netproto.FIN, nil, true)
 		sk.track(fin)
 		env.Transmit(t, sk, fin)
 		env.ArmRetransmit(t, sk, sk.Params.InitialRTO)
-		sk.SetState(LastAck)
+		sk.Transition(1<<CloseWait, LastAck)
 	case SynSent, SynRcvd:
 		// Abort the half-open connection silently (the kernel sends
 		// RST for SYN_RCVD; our peers give up via retransmit limits).
 		if sk.State == SynRcvd && sk.Parent != nil && sk.Parent.SynQueue > 0 {
 			sk.Parent.SynQueue--
 		}
-		sk.SetState(Closed)
+		sk.Transition(1<<SynSent|1<<SynRcvd, Closed)
 		env.CancelRetransmit(t, sk)
 		env.Destroy(t, sk)
 	case Listen, Closed:
-		sk.SetState(Closed)
+		sk.Transition(1<<Listen|1<<Closed, Closed)
 	}
 }
 
@@ -759,7 +787,7 @@ func TimeWaitExpire(env Env, t *cpu.Task, sk *Sock) {
 	if sk.State != TimeWait {
 		return
 	}
-	sk.SetState(Closed)
+	sk.Transition(1<<TimeWait, Closed)
 	env.Destroy(t, sk)
 }
 
@@ -799,7 +827,7 @@ func AcceptCookieACK(env Env, t *cpu.Task, listener *Sock, p *netproto.Packet, s
 	child.Local = p.Dst
 	child.Remote = p.Src
 	child.HomeCore = t.CoreID()
-	child.SetState(Established)
+	child.Transition(1<<Closed, Established)
 	child.Parent = listener
 	child.RcvNxt = p.Seq
 	child.SndNxt, child.SndUna = p.Ack, p.Ack

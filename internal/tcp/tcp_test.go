@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"fastsocket/internal/cpu"
@@ -116,16 +117,20 @@ func (w *world) deliverOne(h *host) *netproto.Packet {
 	}
 	p := h.out[0]
 	h.out = h.out[1:]
-	dst := w.peer(h)
+	w.deliver(w.peer(h), p)
+	return p
+}
+
+// deliver hands p to the socket of dst it is addressed to: a matching
+// connection, else a listener for a bare SYN, else the floor.
+func (w *world) deliver(dst *host, p *netproto.Packet) {
 	if sk := dst.findSock(p); sk != nil {
 		Input(dst, w.task, sk, p)
-		return p
+		return
 	}
 	if dst.listener != nil && p.Dst == dst.listener.Local && p.Flags.Has(netproto.SYN) && !p.Flags.Has(netproto.ACK) {
 		ListenInput(dst, w.task, dst.listener, p, 9000, 0)
-		return p
 	}
-	return p // dropped on the floor (no match)
 }
 
 // pump delivers until both queues are empty.
@@ -635,6 +640,61 @@ func TestConnectOnNonClosedPanics(t *testing.T) {
 		}
 	}()
 	ConnectStart(w.a, w.task, cli, 1)
+}
+
+// TestTransitionUndeclaredPriorPanics: a socket outside the call's
+// declared priors is a caller bug; the panic names the current state,
+// the target and the declared set.
+func TestTransitionUndeclaredPriorPanics(t *testing.T) {
+	sk := NewSock(DefaultParams(), 0)
+	sk.Transition(1<<Closed, Listen)
+	defer func() {
+		msg, ok := recover().(string)
+		if !ok {
+			t.Fatal("transition from an undeclared prior did not panic with a message")
+		}
+		for _, want := range []string{"LISTEN -> TIME_WAIT", "{FIN_WAIT2, CLOSING}"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("panic message %q does not name %q", msg, want)
+			}
+		}
+	}()
+	sk.Transition(1<<FinWait2|1<<Closing, TimeWait)
+}
+
+// TestTransitionTracesOnceWithoutAllocating: every call records exactly
+// one old -> new count in the kernel's tracer, and the success path
+// allocates nothing.
+func TestTransitionTracesOnceWithoutAllocating(t *testing.T) {
+	p := DefaultParams()
+	tr := &stats.FSMTrace{}
+	p.Trace = tr
+	sk := NewSock(p, 0)
+	steps := []struct {
+		from States
+		to   State
+	}{
+		{1 << Closed, Listen},
+		{1<<Listen | 1<<Closed, Closed},
+		{AnyState, Closed},
+		{1 << Closed, SynSent},
+	}
+	for i, st := range steps {
+		prior := sk.State
+		before := tr.Counts[prior][st.to]
+		sk.Transition(st.from, st.to)
+		if tr.Total() != uint64(i+1) || tr.Counts[prior][st.to] != before+1 {
+			t.Fatalf("step %d (%v -> %v): total %d, cell %d, want %d and %d",
+				i, prior, st.to, tr.Total(), tr.Counts[prior][st.to], i+1, before+1)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		sk.Transition(1<<SynSent, Closed)
+		sk.Transition(1<<Closed, SynSent)
+	})
+	if allocs != 0 {
+		t.Errorf("Transition allocated %.1f times per run, want 0", allocs)
+	}
 }
 
 func TestStateString(t *testing.T) {

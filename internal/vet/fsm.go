@@ -10,24 +10,28 @@ import (
 	"strings"
 )
 
-// The fsm pass statically extracts the TCP state machine: it finds
-// every assignment site of a spec'd state field (direct stores, setter
-// calls like Sock.SetState, lifecycle sweeps), recovers the guarded
-// prior states each site can fire from (switch/if dominators over the
-// state field, panic/return guards) and the packet-flag conditions
-// dominating it, and diffs the resulting transition relation against
-// the committed FSMSpec. Static transitions outside the spec and spec
-// transitions with no static site are findings; //fsvet:fsm <reason>
-// waives a site after audit.
-//
-// The analysis is flow-sensitive and interprocedurally context-aware:
-// entry states of a function's socket parameters are the union of the
-// states flowing in at every visible call site (exported and escaping
-// functions are assumed callable in any state). Facts about a subject
-// are killed when it is passed to a function that may synchronously
-// store a state field (computed as a fixpoint over direct calls —
-// scheduled closures run later and do not kill), and re-seeded to the
-// birth state across rebirth calls (Sock.Reinit).
+// The fsm pass reads a state machine off its transition calls. Every
+// change of state goes through the owner's transition method,
+// owner.Transition(from, to), whose arguments are constants: from is the
+// set of states the caller's own guards allow (bit 1<<s for state s), to
+// is the new state. Each from × to pair of a call is a static edge, and
+// the relation is diffed both ways against the committed FSMSpec: an
+// edge outside the spec is a finding at its call, a spec edge with no
+// call a graph finding. The scan is sound only while every transition
+// is such a call, so each way around one that the scan can see is a
+// finding too: a non-constant argument; the method used other than as
+// the callee of a direct call (a method value or expression, or a call
+// through an interface); a store to the state field outside the method
+// (plain, tuple, range or ++) or its address taken there; and an owner
+// literal, keyed or positional, in a state other than the birth state.
+// Function bodies and package-level initializers are both scanned. A
+// copy of a whole owner value, reflect and unsafe are not seen. The
+// method's runtime assertion holds each executed transition to its
+// call's declared priors; together the two make every transition that
+// runs a spec edge.
+
+// fsmMethod is the transition method of every spec's owner.
+const fsmMethod = "Transition"
 
 // FSMTransition is one edge of the extracted static relation.
 type FSMTransition struct {
@@ -35,74 +39,20 @@ type FSMTransition struct {
 	From  string   `json:"from"`
 	To    string   `json:"to"`
 	Sites []string `json:"sites"`
-	Conds []string `json:"conds,omitempty"`
 }
 
-// fsmMask is a set of states, one bit per constant value.
-type fsmMask uint32
+// fsmEdge is a static edge as state values.
+type fsmEdge struct{ from, to int }
 
-func fsmBit(v int) fsmMask { return 1 << uint(v) }
-
-// fsmSubj names a tracked socket: a root variable plus a pure field
-// path ("" for the variable itself, "sk" for e.sk).
-type fsmSubj struct {
-	root *types.Var
-	path string
-}
-
-// fsmParams is a function's AST-derived parameter inventory.
-type fsmParams struct {
-	recv  *types.Var
-	named []*types.Var // positional params; nil for unnamed/blank
-	socks []*types.Var // the subset (incl. receiver) of owner-pointer type
-}
-
-// fsmSetter marks a function whose call sites are transition sites: it
-// stores a state-typed parameter into a parameter's state field.
-type fsmSetter struct {
-	subject  *types.Var // receiver or pointer param being transitioned
-	stateIdx int        // positional index of the state argument
-}
-
-// fsmSite is one transition site with its recovered context.
-type fsmSite struct {
-	pos   token.Pos
-	fn    *types.Func
-	from  fsmMask
-	to    int
-	flags []string
-}
-
-type fsmCtxKey struct {
-	fn    *types.Func
-	param *types.Var
-}
-
-type fsmAnalysis struct {
-	v    *vetter
-	cg   *callGraph
-	prog *Program
-	spec *FSMSpec
-
-	stateT      types.Type          // the named state type
-	stateFields map[*types.Var]bool // state fields of owner structs
-	owners      map[*types.Named]bool
-	top         fsmMask
-
-	params     map[*types.Func]*fsmParams
-	setters    map[*types.Func]*fsmSetter
-	storers    map[*types.Func]bool
-	rebirthers map[*types.Func]bool
-	birthFns   map[*types.Func]bool
-	escaped    map[*types.Func]bool
-	direct     map[*types.Func][]*types.Func
-
-	ctx     map[fsmCtxKey]fsmMask
-	ctxSeen map[fsmCtxKey]bool
-	final   bool
-	changed bool
-
-	sites []*fsmSite
+type fsmScan struct {
+	v       *vetter
+	cg      *callGraph
+	spec    *FSMSpec
+	fields  map[*types.Var]bool   // state fields of owner structs
+	owners  map[*types.Named]bool // structs with a state field
+	methods map[*types.Func]bool  // the owners' transition methods
+	legal   map[fsmEdge]bool      // the spec's edges
+	edges   map[fsmEdge]map[string]bool
 }
 
 // checkFSM runs the pass for every spec whose type is present and
@@ -110,41 +60,33 @@ type fsmAnalysis struct {
 func (v *vetter) checkFSM(cg *callGraph) []FSMTransition {
 	var graph []FSMTransition
 	for _, spec := range FSMSpecs() {
-		a := newFSMAnalysis(v, cg, spec)
-		if a == nil {
-			continue
+		if s := newFSMScan(v, cg, spec); s != nil {
+			graph = append(graph, s.run()...)
 		}
-		graph = append(graph, a.run()...)
 	}
 	return graph
 }
 
-func newFSMAnalysis(v *vetter, cg *callGraph, spec *FSMSpec) *fsmAnalysis {
+func newFSMScan(v *vetter, cg *callGraph, spec *FSMSpec) *fsmScan {
 	dot := strings.LastIndex(spec.Type, ".")
-	pkgPath, typeName := spec.Type[:dot], spec.Type[dot+1:]
-	pkg := v.prog.Pkgs[pkgPath]
+	pkg := v.prog.Pkgs[spec.Type[:dot]]
 	if pkg == nil {
 		return nil // machine not in this load (e.g. corpus type on real runs)
 	}
-	tn, ok := pkg.Scope().Lookup(typeName).(*types.TypeName)
+	tn, ok := pkg.Scope().Lookup(spec.Type[dot+1:]).(*types.TypeName)
 	if !ok {
 		return nil
 	}
-	a := &fsmAnalysis{
-		v: v, cg: cg, prog: v.prog, spec: spec,
-		stateT:      tn.Type(),
-		stateFields: map[*types.Var]bool{},
-		owners:      map[*types.Named]bool{},
-		top:         fsmMask(1)<<uint(len(spec.States)) - 1,
-		params:      map[*types.Func]*fsmParams{},
-		setters:     map[*types.Func]*fsmSetter{},
-		storers:     map[*types.Func]bool{},
-		rebirthers:  map[*types.Func]bool{},
-		birthFns:    map[*types.Func]bool{},
-		escaped:     map[*types.Func]bool{},
-		direct:      map[*types.Func][]*types.Func{},
-		ctx:         map[fsmCtxKey]fsmMask{},
-		ctxSeen:     map[fsmCtxKey]bool{},
+	s := &fsmScan{
+		v: v, cg: cg, spec: spec,
+		fields:  map[*types.Var]bool{},
+		owners:  map[*types.Named]bool{},
+		methods: map[*types.Func]bool{},
+		legal:   map[fsmEdge]bool{},
+		edges:   map[fsmEdge]map[string]bool{},
+	}
+	for _, tr := range spec.Transitions {
+		s.legal[fsmEdge{tr.From, tr.To}] = true
 	}
 	for _, n := range cg.named {
 		st, ok := n.Underlying().(*types.Struct)
@@ -152,1236 +94,208 @@ func newFSMAnalysis(v *vetter, cg *callGraph, spec *FSMSpec) *fsmAnalysis {
 			continue
 		}
 		for i := 0; i < st.NumFields(); i++ {
-			if f := st.Field(i); types.Identical(f.Type(), a.stateT) {
-				a.owners[n] = true
-				a.stateFields[f] = true
+			if f := st.Field(i); types.Identical(f.Type(), tn.Type()) {
+				s.owners[n] = true
+				s.fields[f] = true
 			}
 		}
+		if !s.owners[n] {
+			continue
+		}
+		obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(n), false, n.Obj().Pkg(), fsmMethod)
+		if m, ok := obj.(*types.Func); ok {
+			s.methods[m] = true
+		}
 	}
-	if len(a.owners) == 0 {
+	if len(s.owners) == 0 {
 		return nil
 	}
-	return a
+	return s
 }
 
-func (a *fsmAnalysis) run() []FSMTransition {
-	a.collectParams()
-	a.collectSettersAndStorers()
-	a.collectEscapes()
-	a.classifyBirths()
-	a.runCtxFixpoint()
-
-	// Final walk: collect sites and report inline findings.
-	a.final = true
-	for _, fn := range a.cg.funcs {
-		a.walkFunc(fn, nil)
+func (s *fsmScan) run() []FSMTransition {
+	for _, ip := range s.v.prog.Paths {
+		for _, file := range s.v.prog.Files[ip] {
+			for _, decl := range file.Decls {
+				s.scan(decl)
+			}
+		}
 	}
-
-	return a.diffSpec()
+	return s.diffSpec()
 }
 
-// --- structural pre-scans --------------------------------------------
+// scan walks one top-level declaration, a function or a package-level
+// initializer.
+func (s *fsmScan) scan(decl ast.Decl) {
+	site, inMethod := "package scope", false
+	if fd, ok := decl.(*ast.FuncDecl); ok {
+		if fn, ok := s.v.prog.Info.Defs[fd.Name].(*types.Func); ok {
+			site, inMethod = qualifiedName(fn), s.methods[fn]
+		}
+	}
+	called := map[ast.Expr]bool{} // the callee of each direct transition call
+	ast.Inspect(decl, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if s.methods[s.cg.staticCallee(n)] {
+				called[ast.Unparen(n.Fun)] = true
+				s.call(site, n)
+			}
+		case *ast.SelectorExpr:
+			s.methodUse(n, called[n])
+		case *ast.AssignStmt:
+			s.store(inMethod, n.Lhs...)
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				s.store(inMethod, n.Key, n.Value)
+			}
+		case *ast.IncDecStmt:
+			s.store(inMethod, n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND && !inMethod && s.stateField(n.X) {
+				s.v.report(n.Pos(), PassFSM, "address of the state field taken outside the transition method %s: a store through it bypasses the method", fsmMethod)
+			}
+		case *ast.CompositeLit:
+			s.literal(n)
+		}
+		return true
+	})
+}
 
-func (a *fsmAnalysis) isOwnerPtr(t types.Type) bool {
-	p, ok := t.(*types.Pointer)
+// call records the edges of one transition call.
+func (s *fsmScan) call(fn string, call *ast.CallExpr) {
+	from, fromOK := s.constant(call.Args[0])
+	to, toOK := s.constant(call.Args[1])
+	if !fromOK {
+		s.v.report(call.Args[0].Pos(), PassFSM, "transition prior set is not a constant: its edges cannot be checked against the spec")
+	}
+	if !toOK {
+		s.v.report(call.Args[1].Pos(), PassFSM, "transition target state is not a constant: its edges cannot be checked against the spec")
+	}
+	if !fromOK || !toOK {
+		return
+	}
+	tp := s.v.prog.RelPos(call.Pos())
+	site := fmt.Sprintf("%s:%d (%s)", tp.Filename, tp.Line, fn)
+	for b := 0; b < 64; b++ {
+		if from&(1<<uint(b)) == 0 {
+			continue
+		}
+		e := fsmEdge{b, int(to)}
+		if s.edges[e] == nil {
+			s.edges[e] = map[string]bool{}
+		}
+		s.edges[e][site] = true
+		if !s.legal[e] {
+			s.v.report(call.Pos(), PassFSM,
+				"transition %s -> %s is not in the %s spec: add it to fsmspec.go with a justification or waive it //fsvet:ignore fsm <reason>",
+				s.spec.StateName(b), s.spec.StateName(int(to)), s.spec.Type)
+		}
+	}
+}
+
+// constant returns the value of a constant argument.
+func (s *fsmScan) constant(e ast.Expr) (uint64, bool) {
+	tv := s.v.prog.Info.Types[e]
+	if tv.Value == nil || tv.Value.Kind() != constant.Int {
+		return 0, false
+	}
+	return constant.Uint64Val(tv.Value)
+}
+
+// methodUse reports the transition method used other than as the
+// callee of a direct call: its arguments could not be read.
+func (s *fsmScan) methodUse(sel *ast.SelectorExpr, called bool) {
+	fn, _ := s.v.prog.Info.Uses[sel.Sel].(*types.Func)
+	switch {
+	case fn == nil:
+	case s.methods[fn] && !called:
+		s.v.report(sel.Pos(), PassFSM, "transition method %s used as a value: call it directly so its arguments can be read", fsmMethod)
+	case fn.Name() == fsmMethod && s.viaInterface(fn):
+		s.v.report(sel.Pos(), PassFSM, "transition method %s called through an interface: call it on the owner so its arguments can be read", fsmMethod)
+	}
+}
+
+// viaInterface reports whether fn is an interface method an owner
+// implements.
+func (s *fsmScan) viaInterface(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	iface, ok := recv.Type().Underlying().(*types.Interface)
 	if !ok {
 		return false
 	}
-	n, ok := p.Elem().(*types.Named)
-	return ok && a.owners[n]
-}
-
-func (a *fsmAnalysis) collectParams() {
-	for _, fn := range a.cg.funcs {
-		fd := a.cg.decls[fn]
-		pi := &fsmParams{}
-		if fd.Recv != nil && len(fd.Recv.List) == 1 && len(fd.Recv.List[0].Names) == 1 {
-			if v, ok := a.prog.Info.Defs[fd.Recv.List[0].Names[0]].(*types.Var); ok {
-				pi.recv = v
-				if a.isOwnerPtr(v.Type()) {
-					pi.socks = append(pi.socks, v)
-				}
-			}
-		}
-		for _, field := range fd.Type.Params.List {
-			if len(field.Names) == 0 {
-				pi.named = append(pi.named, nil)
-				continue
-			}
-			for _, name := range field.Names {
-				v, _ := a.prog.Info.Defs[name].(*types.Var)
-				pi.named = append(pi.named, v)
-				if v != nil && a.isOwnerPtr(v.Type()) {
-					pi.socks = append(pi.socks, v)
-				}
-			}
-		}
-		a.params[fn] = pi
-	}
-}
-
-// collectSettersAndStorers classifies setter functions (store a
-// state-typed parameter into a parameter's state field), rebirthers
-// (*recv = Owner{...}), direct storers, and the direct-call relation
-// used to propagate the may-store effect (function literals are
-// excluded: they run later, from the scheduler, and do not clobber the
-// caller's flow facts).
-func (a *fsmAnalysis) collectSettersAndStorers() {
-	info := a.prog.Info
-	for _, fn := range a.cg.funcs {
-		fd := a.cg.decls[fn]
-		pi := a.params[fn]
-		stores := false
-		callees := map[*types.Func]bool{}
-		var scan func(n ast.Node) bool
-		scan = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.CallExpr:
-				if g := a.cg.staticCallee(n); g != nil && a.cg.decls[g] != nil {
-					callees[g] = true
-				} else if m := a.cg.ifaceCallee(n); m != nil {
-					for _, g := range a.cg.implementers(m) {
-						if a.cg.decls[g] != nil {
-							callees[g] = true
-						}
-					}
-				}
-			case *ast.AssignStmt:
-				for i, lhs := range n.Lhs {
-					if subj, ok := a.stateFieldSel(lhs); ok {
-						stores = true
-						// Setter shape: subject is a param/receiver and
-						// the (single) RHS is a state-typed param.
-						if subj.path == "" && paramOf(pi, subj.root) && len(n.Lhs) == len(n.Rhs) {
-							if id, ok := ast.Unparen(n.Rhs[i]).(*ast.Ident); ok {
-								if pv, ok := info.Uses[id].(*types.Var); ok && paramOf(pi, pv) && types.Identical(pv.Type(), a.stateT) {
-									a.setters[fn] = &fsmSetter{subject: subj.root, stateIdx: paramIndex(pi, pv)}
-								}
-							}
-						}
-					}
-					if star, ok := ast.Unparen(lhs).(*ast.StarExpr); ok && i < len(n.Rhs) {
-						if t := info.Types[star.X].Type; t != nil && a.isOwnerPtr(t) {
-							if _, ok := ast.Unparen(n.Rhs[i]).(*ast.CompositeLit); ok {
-								stores = true
-								if id, ok := ast.Unparen(star.X).(*ast.Ident); ok {
-									if v, ok := info.Uses[id].(*types.Var); ok && pi.recv == v {
-										a.rebirthers[fn] = true
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-			return true
-		}
-		ast.Inspect(fd.Body, scan)
-		if stores {
-			a.storers[fn] = true
-		}
-		out := make([]*types.Func, 0, len(callees))
-		for g := range callees {
-			out = append(out, g)
-		}
-		sort.Slice(out, func(i, j int) bool { return a.cg.decls[out[i]].Pos() < a.cg.decls[out[j]].Pos() })
-		a.direct[fn] = out
-	}
-	// Propagate may-store through direct calls to a fixpoint.
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range a.cg.funcs {
-			if a.storers[fn] {
-				continue
-			}
-			for _, g := range a.direct[fn] {
-				if a.storers[g] {
-					a.storers[fn] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-}
-
-func paramOf(pi *fsmParams, v *types.Var) bool {
-	if v == nil {
-		return false
-	}
-	if pi.recv == v {
-		return true
-	}
-	for _, p := range pi.named {
-		if p == v {
+	for n := range s.owners {
+		if types.Implements(types.NewPointer(n), iface) {
 			return true
 		}
 	}
 	return false
 }
 
-func paramIndex(pi *fsmParams, v *types.Var) int {
-	for i, p := range pi.named {
-		if p == v {
-			return i
-		}
-	}
-	return -1
-}
-
-// collectEscapes finds module functions referenced as values outside
-// call position: they may be invoked later from anywhere, so their
-// socket parameters are assumed to arrive in any state.
-func (a *fsmAnalysis) collectEscapes() {
-	info := a.prog.Info
-	for _, fn := range a.cg.funcs {
-		funPos := map[*ast.Ident]bool{}
-		ast.Inspect(a.cg.decls[fn].Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				switch f := ast.Unparen(call.Fun).(type) {
-				case *ast.Ident:
-					funPos[f] = true
-				case *ast.SelectorExpr:
-					funPos[f.Sel] = true
-				}
-			}
-			return true
-		})
-		ast.Inspect(a.cg.decls[fn].Body, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok || funPos[id] {
-				return true
-			}
-			if g, ok := info.Uses[id].(*types.Func); ok && a.cg.decls[g] != nil {
-				a.escaped[g] = true
-			}
-			return true
-		})
-	}
-}
-
-// classifyBirths finds functions that always return a fresh owner in
-// the birth state (constructors and pool getters), to a fixpoint so a
-// getter recognizes the constructor it falls back to.
-func (a *fsmAnalysis) classifyBirths() {
-	var candidates []*types.Func
-	for _, fn := range a.cg.funcs {
-		sig := fn.Type().(*types.Signature)
-		if sig.Results().Len() == 1 && a.isOwnerPtr(sig.Results().At(0).Type()) {
-			candidates = append(candidates, fn)
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range candidates {
-			if a.birthFns[fn] {
-				continue
-			}
-			w := &fsmWalker{a: a, fn: fn, env: newFSMEnv(), birthOK: true, probeBirth: true}
-			a.seedEntry(w, fn)
-			w.walkStmt(a.cg.decls[fn].Body)
-			if w.birthOK && w.sawReturn {
-				a.birthFns[fn] = true
-				changed = true
-			}
-		}
-	}
-}
-
-// --- interprocedural context fixpoint --------------------------------
-
-func (a *fsmAnalysis) runCtxFixpoint() {
-	for _, fn := range a.cg.funcs {
-		if !ast.IsExported(fn.Name()) && !a.escaped[fn] {
-			continue
-		}
-		for _, pv := range a.params[fn].socks {
-			k := fsmCtxKey{fn, pv}
-			a.ctx[k] = a.top
-			a.ctxSeen[k] = true
-		}
-	}
-	for round := 0; round < 32; round++ {
-		a.changed = false
-		for _, fn := range a.cg.funcs {
-			a.walkFunc(fn, a.ctxAdd)
-		}
-		if !a.changed {
-			return
-		}
-	}
-}
-
-func (a *fsmAnalysis) ctxAdd(g *types.Func, pv *types.Var, mask fsmMask) {
-	k := fsmCtxKey{g, pv}
-	if !a.ctxSeen[k] {
-		a.ctxSeen[k] = true
-		a.changed = true
-	}
-	if a.ctx[k]|mask != a.ctx[k] {
-		a.ctx[k] |= mask
-		a.changed = true
-	}
-}
-
-func (a *fsmAnalysis) entryMask(fn *types.Func, pv *types.Var) fsmMask {
-	k := fsmCtxKey{fn, pv}
-	if a.ctxSeen[k] {
-		return a.ctx[k]
-	}
-	if a.final {
-		// No visible caller at fixpoint: assume any state.
-		return a.top
-	}
-	return 0
-}
-
-func (a *fsmAnalysis) seedEntry(w *fsmWalker, fn *types.Func) {
-	for _, pv := range a.params[fn].socks {
-		w.env.m[fsmSubj{pv, ""}] = a.entryMask(fn, pv)
-	}
-}
-
-func (a *fsmAnalysis) walkFunc(fn *types.Func, sink fsmCtxSink) {
-	w := &fsmWalker{a: a, fn: fn, env: newFSMEnv(), sink: sink, collect: a.final}
-	a.seedEntry(w, fn)
-	w.walkStmt(a.cg.decls[fn].Body)
-}
-
-// --- flow environment ------------------------------------------------
-
-type fsmEnv struct {
-	m     map[fsmSubj]fsmMask
-	flags map[string]bool
-}
-
-func newFSMEnv() *fsmEnv {
-	return &fsmEnv{m: map[fsmSubj]fsmMask{}, flags: map[string]bool{}}
-}
-
-func (e *fsmEnv) clone() *fsmEnv {
-	n := newFSMEnv()
-	for k, v := range e.m {
-		n.m[k] = v
-	}
-	for k := range e.flags {
-		n.flags[k] = true
-	}
-	return n
-}
-
-func (e *fsmEnv) get(k fsmSubj, top fsmMask) fsmMask {
-	if v, ok := e.m[k]; ok {
-		return v
-	}
-	return top
-}
-
-func (e *fsmEnv) set(k fsmSubj, m fsmMask) { e.m[k] = m }
-
-// kill drops facts about a subject and everything under it.
-func (e *fsmEnv) kill(k fsmSubj) {
-	for kk := range e.m {
-		if kk.root != k.root {
-			continue
-		}
-		if k.path == "" || kk.path == k.path || strings.HasPrefix(kk.path, k.path+".") {
-			delete(e.m, kk)
-		}
-	}
-}
-
-// join widens to the union of two branch environments.
-func fsmJoin(a, b *fsmEnv) *fsmEnv {
-	n := newFSMEnv()
-	for k, v := range a.m {
-		if w, ok := b.m[k]; ok {
-			n.m[k] = v | w
-		}
-	}
-	for f := range a.flags {
-		if b.flags[f] {
-			n.flags[f] = true
-		}
-	}
-	return n
-}
-
-// --- condition evaluation --------------------------------------------
-
-// fsmFacts is what a condition (taken with a given truth) implies:
-// per-subject state constraints and packet flags known set.
-type fsmFacts struct {
-	states map[fsmSubj]fsmMask
-	flags  []string
-}
-
-func (a *fsmAnalysis) andFacts(x, y fsmFacts) fsmFacts {
-	out := fsmFacts{states: map[fsmSubj]fsmMask{}}
-	for k, m := range x.states {
-		out.states[k] = m
-	}
-	for k, m := range y.states {
-		if prev, ok := out.states[k]; ok {
-			out.states[k] = prev & m
-		} else {
-			out.states[k] = m
-		}
-	}
-	out.flags = append(append(out.flags, x.flags...), y.flags...)
-	return out
-}
-
-func (a *fsmAnalysis) orFacts(x, y fsmFacts) fsmFacts {
-	out := fsmFacts{states: map[fsmSubj]fsmMask{}}
-	for k, m := range x.states {
-		if w, ok := y.states[k]; ok {
-			out.states[k] = m | w
-		}
-	}
-	for _, f := range x.flags {
-		for _, g := range y.flags {
-			if f == g {
-				out.flags = append(out.flags, f)
-			}
-		}
-	}
-	return out
-}
-
-func (a *fsmAnalysis) eval(cond ast.Expr, sense bool) fsmFacts {
-	none := fsmFacts{}
-	switch x := ast.Unparen(cond).(type) {
-	case *ast.UnaryExpr:
-		if x.Op == token.NOT {
-			return a.eval(x.X, !sense)
-		}
-	case *ast.BinaryExpr:
-		switch x.Op {
-		case token.LAND:
-			if sense {
-				return a.andFacts(a.eval(x.X, true), a.eval(x.Y, true))
-			}
-			return a.orFacts(a.eval(x.X, false), a.eval(x.Y, false))
-		case token.LOR:
-			if sense {
-				return a.orFacts(a.eval(x.X, true), a.eval(x.Y, true))
-			}
-			return a.andFacts(a.eval(x.X, false), a.eval(x.Y, false))
-		case token.EQL, token.NEQ:
-			subj, v, ok := a.stateComparison(x)
-			if !ok {
-				return none
-			}
-			in := (x.Op == token.EQL) == sense
-			mask := fsmBit(v)
-			if !in {
-				mask = a.top &^ mask
-			}
-			return fsmFacts{states: map[fsmSubj]fsmMask{subj: mask}}
-		}
-	case *ast.CallExpr:
-		if sense {
-			if name, ok := a.flagTest(x); ok {
-				return fsmFacts{flags: []string{name}}
-			}
-		}
-	}
-	return none
-}
-
-// stateComparison matches `subject.State ==/!= CONST` either way round.
-func (a *fsmAnalysis) stateComparison(b *ast.BinaryExpr) (fsmSubj, int, bool) {
-	if subj, ok := a.stateFieldSel(b.X); ok {
-		if v, ok := a.constStateVal(b.Y); ok {
-			return subj, v, true
-		}
-	}
-	if subj, ok := a.stateFieldSel(b.Y); ok {
-		if v, ok := a.constStateVal(b.X); ok {
-			return subj, v, true
-		}
-	}
-	return fsmSubj{}, 0, false
-}
-
-// flagTest recognizes netproto's Flags.Has(FLAG) with a named constant.
-func (a *fsmAnalysis) flagTest(call *ast.CallExpr) (string, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Has" || len(call.Args) != 1 {
-		return "", false
-	}
-	fn, ok := a.prog.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != ModPath+"/internal/netproto" {
-		return "", false
-	}
-	switch arg := ast.Unparen(call.Args[0]).(type) {
-	case *ast.SelectorExpr:
-		return arg.Sel.Name, true
-	case *ast.Ident:
-		return arg.Name, true
-	}
-	return "", false
-}
-
-func (a *fsmAnalysis) apply(env *fsmEnv, f fsmFacts) {
-	for k, m := range f.states {
-		env.set(k, env.get(k, a.top)&m)
-	}
-	for _, name := range f.flags {
-		env.flags[name] = true
-	}
-}
-
-// --- expression helpers ----------------------------------------------
-
-func (a *fsmAnalysis) subjectOf(e ast.Expr) (fsmSubj, bool) {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if v, ok := a.prog.Info.Uses[x].(*types.Var); ok {
-			return fsmSubj{v, ""}, true
-		}
-		if v, ok := a.prog.Info.Defs[x].(*types.Var); ok {
-			return fsmSubj{v, ""}, true
-		}
-	case *ast.SelectorExpr:
-		sel := a.prog.Info.Selections[x]
-		if sel == nil || sel.Kind() != types.FieldVal {
-			return fsmSubj{}, false
-		}
-		if base, ok := a.subjectOf(x.X); ok {
-			path := x.Sel.Name
-			if base.path != "" {
-				path = base.path + "." + path
-			}
-			return fsmSubj{base.root, path}, true
-		}
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			return a.subjectOf(x.X)
-		}
-	case *ast.StarExpr:
-		return a.subjectOf(x.X)
-	}
-	return fsmSubj{}, false
-}
-
-// stateFieldSel matches `subject.State` for a spec'd owner's field.
-func (a *fsmAnalysis) stateFieldSel(e ast.Expr) (fsmSubj, bool) {
+// stateField reports whether e selects an owner's state field.
+func (s *fsmScan) stateField(e ast.Expr) bool {
 	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 	if !ok {
-		return fsmSubj{}, false
+		return false
 	}
-	f, ok := a.prog.Info.Uses[sel.Sel].(*types.Var)
-	if !ok || !a.stateFields[f] {
-		return fsmSubj{}, false
-	}
-	return a.subjectOf(sel.X)
+	f, ok := s.v.prog.Info.Uses[sel.Sel].(*types.Var)
+	return ok && s.fields[f]
 }
 
-// constStateVal resolves a constant state expression to its value.
-func (a *fsmAnalysis) constStateVal(e ast.Expr) (int, bool) {
-	tv, ok := a.prog.Info.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
-		return 0, false
-	}
-	// The expression must be of (or convertible in context to) the
-	// state type; assignment/argument positions guarantee that, and
-	// comparisons are checked by stateComparison's other operand.
-	v, ok := constant.Int64Val(tv.Value)
-	if !ok || v < 0 || int(v) >= len(a.spec.States) {
-		return 0, false
-	}
-	return int(v), true
-}
-
-// isBirthExpr reports an expression that yields a fresh owner in the
-// birth state: a constructor call or an owner literal.
-func (a *fsmAnalysis) isBirthExpr(e ast.Expr) bool {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.CallExpr:
-		g := a.cg.staticCallee(x)
-		return g != nil && a.birthFns[g]
-	case *ast.UnaryExpr:
-		if x.Op != token.AND {
-			return false
+// store reports writes to a state field outside the transition method.
+func (s *fsmScan) store(inMethod bool, lhs ...ast.Expr) {
+	for _, e := range lhs {
+		if e != nil && !inMethod && s.stateField(e) {
+			s.v.report(e.Pos(), PassFSM, "state stored outside the transition method %s: call it with constant arguments instead", fsmMethod)
 		}
-		lit, ok := ast.Unparen(x.X).(*ast.CompositeLit)
-		if !ok {
-			return false
-		}
-		v, ok := a.litStateVal(lit)
-		return ok && v == a.spec.Birth
 	}
-	return false
 }
 
-// litStateVal returns the state value an owner composite literal
-// carries (the zero state when the field is omitted), or !ok when the
-// literal is not an owner or its state field is non-constant.
-func (a *fsmAnalysis) litStateVal(lit *ast.CompositeLit) (int, bool) {
-	t := a.prog.Info.Types[lit].Type
-	if t == nil {
-		return 0, false
-	}
+// literal reports an owner composite literal, keyed or positional, not
+// in the birth state (a state field left out carries the zero value).
+func (s *fsmScan) literal(lit *ast.CompositeLit) {
+	t := s.v.prog.Info.Types[lit].Type
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
 	n, ok := t.(*types.Named)
-	if !ok || !a.owners[n] {
-		return 0, false
-	}
-	for _, elt := range lit.Elts {
-		kv, ok := elt.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		key, ok := kv.Key.(*ast.Ident)
-		if !ok {
-			continue
-		}
-		if f, ok := a.prog.Info.Uses[key].(*types.Var); ok && a.stateFields[f] {
-			return a.constStateVal(kv.Value)
-		}
-	}
-	return 0, true // field omitted: zero value
-}
-
-// --- the walker ------------------------------------------------------
-
-type fsmCtxSink func(g *types.Func, pv *types.Var, mask fsmMask)
-
-type fsmWalker struct {
-	a       *fsmAnalysis
-	fn      *types.Func
-	env     *fsmEnv
-	sink    fsmCtxSink
-	collect bool
-
-	probeBirth bool
-	birthOK    bool
-	sawReturn  bool
-}
-
-func (w *fsmWalker) sub(env *fsmEnv) *fsmWalker {
-	n := *w
-	n.env = env
-	return &n
-}
-
-func (w *fsmWalker) report(pos token.Pos, format string, args ...any) {
-	if w.collect {
-		w.a.v.report(pos, PassFSM, format, args...)
-	}
-}
-
-func (w *fsmWalker) addSite(pos token.Pos, from fsmMask, to int) {
-	if !w.collect {
+	if !ok || !s.owners[n] {
 		return
 	}
-	var flags []string
-	for f := range w.env.flags {
-		flags = append(flags, f)
+	st := n.Underlying().(*types.Struct)
+	pos, val, ok := lit.Pos(), uint64(0), true
+	for i, elt := range lit.Elts {
+		f, v := st.Field(i), elt
+		if kv, isKV := elt.(*ast.KeyValueExpr); isKV {
+			key, _ := kv.Key.(*ast.Ident)
+			f, _ = s.v.prog.Info.Uses[key].(*types.Var)
+			v = kv.Value
+		}
+		if s.fields[f] {
+			pos = v.Pos()
+			val, ok = s.constant(v)
+		}
 	}
-	sort.Strings(flags)
-	w.a.sites = append(w.a.sites, &fsmSite{pos: pos, fn: w.fn, from: from, to: to, flags: flags})
-}
-
-// walkStmt analyzes one statement; it returns false when control never
-// flows past it (return, panic, branch).
-func (w *fsmWalker) walkStmt(s ast.Stmt) bool {
-	a := w.a
-	switch s := s.(type) {
-	case nil:
-		return true
-	case *ast.BlockStmt:
-		for _, st := range s.List {
-			if !w.walkStmt(st) {
-				return false
-			}
-		}
-		return true
-	case *ast.ExprStmt:
-		w.walkExpr(s.X)
-		if call, ok := s.X.(*ast.CallExpr); ok && a.isPanic(call) {
-			return false
-		}
-		return true
-	case *ast.AssignStmt:
-		w.walkAssign(s.Lhs, s.Rhs)
-		return true
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok && len(vs.Values) > 0 {
-					lhs := make([]ast.Expr, len(vs.Names))
-					for i, n := range vs.Names {
-						lhs[i] = n
-					}
-					w.walkAssign(lhs, vs.Values)
-				}
-			}
-		}
-		return true
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init)
-		}
-		w.walkExpr(s.Cond)
-		thenEnv := w.env.clone()
-		a.apply(thenEnv, a.eval(s.Cond, true))
-		tLive := w.sub(thenEnv).walkStmt(s.Body)
-		elseEnv := w.env.clone()
-		a.apply(elseEnv, a.eval(s.Cond, false))
-		eLive := true
-		if s.Else != nil {
-			eLive = w.sub(elseEnv).walkStmt(s.Else)
-		}
-		switch {
-		case tLive && eLive:
-			*w.env = *fsmJoin(thenEnv, elseEnv)
-		case tLive:
-			*w.env = *thenEnv
-		case eLive:
-			*w.env = *elseEnv
-		default:
-			return false
-		}
-		return true
-	case *ast.SwitchStmt:
-		return w.walkSwitch(s)
-	case *ast.TypeSwitchStmt:
-		w.walkStmt(s.Init)
-		w.walkStmt(s.Assign)
-		return w.walkClauses(s.Body, func(*ast.CaseClause) *fsmEnv { return w.env.clone() }, true)
-	case *ast.SelectStmt:
-		live := false
-		var exits []*fsmEnv
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			env := w.env.clone()
-			sw := w.sub(env)
-			if cc.Comm != nil {
-				sw.walkStmt(cc.Comm)
-			}
-			ok := true
-			for _, st := range cc.Body {
-				if !sw.walkStmt(st) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				live = true
-				exits = append(exits, env)
-			}
-		}
-		if !live {
-			return false
-		}
-		w.joinInto(exits)
-		return true
-	case *ast.ForStmt:
-		w.walkStmt(s.Init)
-		if s.Cond != nil {
-			w.walkExpr(s.Cond)
-		}
-		body := w.sub(newFSMEnv())
-		body.walkStmt(s.Body)
-		if s.Post != nil {
-			body.walkStmt(s.Post)
-		}
-		*w.env = *newFSMEnv() // loop may have clobbered anything
-		return true
-	case *ast.RangeStmt:
-		w.walkExpr(s.X)
-		body := w.sub(newFSMEnv())
-		body.walkStmt(s.Body)
-		*w.env = *newFSMEnv()
-		return true
-	case *ast.ReturnStmt:
-		w.sawReturn = true
-		for _, r := range s.Results {
-			w.walkExpr(r)
-			if w.probeBirth && !w.birthValue(r) {
-				w.birthOK = false
-			}
-		}
-		return false
-	case *ast.BranchStmt:
-		return false
-	case *ast.DeferStmt:
-		w.deferredCall(s.Call)
-		return true
-	case *ast.GoStmt:
-		w.deferredCall(s.Call)
-		return true
-	case *ast.IncDecStmt:
-		if _, ok := a.stateFieldSel(s.X); ok {
-			w.report(s.Pos(), "state transition via ++/-- cannot be checked against the spec: use an explicit constant store")
-		}
-		w.walkExpr(s.X)
-		return true
-	case *ast.SendStmt:
-		w.walkExpr(s.Chan)
-		w.walkExpr(s.Value)
-		if subj, ok := a.subjectOf(s.Value); ok {
-			w.env.kill(subj)
-		}
-		return true
-	case *ast.LabeledStmt:
-		return w.walkStmt(s.Stmt)
-	case *ast.EmptyStmt:
-		return true
-	default:
-		return true
+	if !ok || val != uint64(s.spec.Birth) {
+		s.v.report(pos, PassFSM, "%s constructed outside its birth state %s: change state through %s",
+			s.spec.Type, s.spec.StateName(s.spec.Birth), fsmMethod)
 	}
 }
 
-// birthValue reports whether a return expression yields a birth-state
-// owner: nil, a birth constructor/literal, or a subject known to be in
-// exactly the birth state.
-func (w *fsmWalker) birthValue(r ast.Expr) bool {
-	a := w.a
-	if tv, ok := a.prog.Info.Types[r]; ok && tv.IsNil() {
-		return true
-	}
-	if a.isBirthExpr(r) {
-		return true
-	}
-	if subj, ok := a.subjectOf(r); ok {
-		return w.env.get(subj, a.top) == fsmBit(a.spec.Birth)
-	}
-	return false
-}
-
-func (w *fsmWalker) joinInto(exits []*fsmEnv) {
-	env := exits[0]
-	for _, e := range exits[1:] {
-		env = fsmJoin(env, e)
-	}
-	*w.env = *env
-}
-
-func (w *fsmWalker) walkSwitch(s *ast.SwitchStmt) bool {
-	a := w.a
-	w.walkStmt(s.Init)
-	var tagSubj fsmSubj
-	stateTag := false
-	if s.Tag != nil {
-		w.walkExpr(s.Tag)
-		tagSubj, stateTag = a.stateFieldSel(s.Tag)
-	}
-	// For a state switch, compute each clause's mask and the default's
-	// complement (unless a case has a non-constant expression).
-	caseMask := map[*ast.CaseClause]fsmMask{}
-	union, allConst := fsmMask(0), true
-	if stateTag {
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CaseClause)
-			var m fsmMask
-			for _, e := range cc.List {
-				if v, ok := a.constStateVal(e); ok {
-					m |= fsmBit(v)
-				} else {
-					allConst = false
-				}
-			}
-			caseMask[cc] = m
-			union |= m
-		}
-	}
-	return w.walkClauses(s.Body, func(cc *ast.CaseClause) *fsmEnv {
-		env := w.env.clone()
-		switch {
-		case stateTag && cc.List != nil && allConst:
-			a.apply(env, fsmFacts{states: map[fsmSubj]fsmMask{tagSubj: caseMask[cc]}})
-		case stateTag && cc.List == nil && allConst:
-			a.apply(env, fsmFacts{states: map[fsmSubj]fsmMask{tagSubj: a.top &^ union}})
-		case s.Tag == nil && len(cc.List) == 1:
-			// Tagless switch: a single case expression is a condition.
-			a.apply(env, a.eval(cc.List[0], true))
-		}
-		return env
-	}, s.Body.List == nil || !hasDefault(s.Body))
-}
-
-func hasDefault(body *ast.BlockStmt) bool {
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok && cc.List == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// walkClauses runs every case body from its own environment and joins
-// the live exits; fallthroughLive adds the pre-switch environment (a
-// switch without default can skip every clause).
-func (w *fsmWalker) walkClauses(body *ast.BlockStmt, envFor func(*ast.CaseClause) *fsmEnv, skipLive bool) bool {
-	var exits []*fsmEnv
-	for _, c := range body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		for _, e := range cc.List {
-			w.walkExpr(e)
-		}
-		env := envFor(cc)
-		sw := w.sub(env)
-		live := true
-		for i, st := range cc.Body {
-			// A trailing bare break just ends the case; don't treat it
-			// as killing the exit environment.
-			if i == len(cc.Body)-1 {
-				if br, ok := st.(*ast.BranchStmt); ok && br.Tok == token.BREAK && br.Label == nil {
-					break
-				}
-			}
-			if !sw.walkStmt(st) {
-				live = false
-				break
-			}
-		}
-		if live {
-			exits = append(exits, env)
-		}
-	}
-	if skipLive {
-		exits = append(exits, w.env.clone())
-	}
-	if len(exits) == 0 {
-		return false
-	}
-	w.joinInto(exits)
-	return true
-}
-
-// --- expressions and calls -------------------------------------------
-
-func (w *fsmWalker) walkExpr(e ast.Expr) {
-	if e == nil {
-		return
-	}
-	var calls []*ast.CallExpr
-	var lits []*ast.CompositeLit
-	var fls []*ast.FuncLit
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			fls = append(fls, n)
-			return false
-		case *ast.CallExpr:
-			calls = append(calls, n)
-		case *ast.CompositeLit:
-			lits = append(lits, n)
-		}
-		return true
-	})
-	for _, c := range calls {
-		w.handleCall(c)
-	}
-	for _, l := range lits {
-		w.checkBirthLit(l)
-	}
-	for _, fl := range fls {
-		// Scheduled closure: runs later with no flow facts.
-		lw := &fsmWalker{a: w.a, fn: w.fn, env: newFSMEnv(), sink: w.sink, collect: w.collect}
-		lw.walkStmt(fl.Body)
-	}
-}
-
-func (w *fsmWalker) deferredCall(call *ast.CallExpr) {
-	dw := &fsmWalker{a: w.a, fn: w.fn, env: newFSMEnv(), sink: w.sink, collect: w.collect}
-	dw.walkExpr(call)
-}
-
-func (w *fsmWalker) checkBirthLit(lit *ast.CompositeLit) {
-	a := w.a
-	v, ok := a.litStateVal(lit)
-	if !ok {
-		return
-	}
-	if v != a.spec.Birth {
-		w.report(lit.Pos(), "%s constructed in state %s; %s's birth state is %s",
-			a.spec.Type, a.spec.StateName(v), a.spec.Type, a.spec.StateName(a.spec.Birth))
-	}
-}
-
-func (w *fsmWalker) handleCall(call *ast.CallExpr) {
-	a := w.a
-	info := a.prog.Info
-	// Conversions and builtins are not calls.
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		return
-	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if _, ok := info.Uses[id].(*types.Builtin); ok {
-			return
-		}
-	}
-
-	fn := a.cg.staticCallee(call)
-	if fn != nil {
-		if si := a.setters[fn]; si != nil {
-			w.setterCall(call, fn, si)
-			return
-		}
-	}
-
-	var targets []*types.Func
-	iface := a.cg.ifaceCallee(call)
-	switch {
-	case fn != nil && a.cg.decls[fn] != nil:
-		targets = []*types.Func{fn}
-	case iface != nil:
-		for _, g := range a.cg.implementers(iface) {
-			if a.cg.decls[g] != nil {
-				targets = append(targets, g)
-			}
-		}
-	}
-
-	// Contributions: the states each socket argument can arrive in.
-	for _, g := range targets {
-		if w.sink == nil {
-			break
-		}
-		pi := a.params[g]
-		for _, pv := range pi.socks {
-			arg := argExprFor(call, pi, pv)
-			mask := a.top
-			if arg != nil {
-				if subj, ok := a.subjectOf(arg); ok {
-					mask = w.env.get(subj, a.top)
-				} else if a.isBirthExpr(arg) {
-					mask = fsmBit(a.spec.Birth)
-				}
-			}
-			w.sink(g, pv, mask)
-		}
-	}
-
-	// Kills: passing a subject to a may-store callee invalidates its
-	// facts; a rebirth call re-seeds the receiver to the birth state.
-	kill := fn == nil && iface == nil // dynamic function value
-	reborn := false
-	for _, g := range targets {
-		if a.storers[g] {
-			kill = true
-		}
-		if a.rebirthers[g] {
-			reborn = true
-		}
-	}
-	if !kill && !reborn {
-		return
-	}
-	recvArg := receiverExpr(call)
-	if reborn && recvArg != nil {
-		if subj, ok := a.subjectOf(recvArg); ok {
-			w.env.set(subj, fsmBit(a.spec.Birth))
-			recvArg = nil // handled
-		}
-	}
-	if kill {
-		if recvArg != nil {
-			if subj, ok := a.subjectOf(recvArg); ok {
-				w.env.kill(subj)
-			}
-		}
-		for _, arg := range call.Args {
-			if subj, ok := a.subjectOf(arg); ok {
-				w.env.kill(subj)
-			}
-		}
-	}
-}
-
-func (w *fsmWalker) setterCall(call *ast.CallExpr, fn *types.Func, si *fsmSetter) {
-	a := w.a
-	pi := a.params[fn]
-	var subjExpr ast.Expr
-	if si.subject == pi.recv {
-		subjExpr = receiverExpr(call)
-	} else if idx := paramIndex(pi, si.subject); idx >= 0 && idx < len(call.Args) {
-		subjExpr = call.Args[idx]
-	}
-	var subj fsmSubj
-	subjOK := false
-	if subjExpr != nil {
-		subj, subjOK = a.subjectOf(subjExpr)
-	}
-	from := a.top
-	if subjOK {
-		from = w.env.get(subj, a.top)
-	}
-	if si.stateIdx < 0 || si.stateIdx >= len(call.Args) {
-		return
-	}
-	stateArg := call.Args[si.stateIdx]
-	if v, ok := a.constStateVal(stateArg); ok {
-		w.addSite(call.Pos(), from, v)
-		if subjOK {
-			w.env.set(subj, fsmBit(v))
-		}
-		return
-	}
-	w.report(stateArg.Pos(), "state transition with a non-constant target state cannot be checked against the spec")
-	if subjOK {
-		w.env.set(subj, a.top)
-	}
-}
-
-func (w *fsmWalker) walkAssign(lhs, rhs []ast.Expr) {
-	a := w.a
-	for _, r := range rhs {
-		w.walkExpr(r)
-	}
-	multi := len(rhs) == 1 && len(lhs) > 1
-	for i, l := range lhs {
-		var r ast.Expr
-		if !multi && i < len(rhs) {
-			r = rhs[i]
-		}
-		// Direct state-field store.
-		if subj, ok := a.stateFieldSel(l); ok {
-			switch {
-			case r == nil:
-				w.report(l.Pos(), "state stored from a multi-value expression cannot be checked against the spec")
-				w.env.set(subj, a.top)
-			default:
-				if id, ok := ast.Unparen(r).(*ast.Ident); ok {
-					if pv, ok2 := a.prog.Info.Uses[id].(*types.Var); ok2 && paramOf(a.params[w.fn], pv) && types.Identical(pv.Type(), a.stateT) {
-						// The setter's own store: call sites are the
-						// transition sites.
-						w.env.set(subj, a.top)
-						continue
-					}
-				}
-				if v, ok := a.constStateVal(r); ok {
-					w.addSite(l.Pos(), w.env.get(subj, a.top), v)
-					w.env.set(subj, fsmBit(v))
-				} else {
-					w.report(l.Pos(), "state stored from a non-constant expression cannot be checked against the spec")
-					w.env.set(subj, a.top)
-				}
-			}
-			continue
-		}
-		// Whole-owner rebirth through a pointer: *sk = Sock{...}.
-		if star, ok := ast.Unparen(l).(*ast.StarExpr); ok {
-			if t := a.prog.Info.Types[star.X].Type; t != nil && a.isOwnerPtr(t) {
-				if subj, ok := a.subjectOf(star.X); ok {
-					if r != nil {
-						if lit, ok := ast.Unparen(r).(*ast.CompositeLit); ok {
-							if v, ok2 := a.litStateVal(lit); ok2 && v == a.spec.Birth {
-								w.env.set(subj, fsmBit(a.spec.Birth))
-								continue
-							}
-						}
-					}
-					w.env.kill(subj)
-				}
-				continue
-			}
-		}
-		// Rebinding a tracked subject (or a prefix of one).
-		if subj, ok := a.subjectOf(l); ok {
-			w.env.kill(subj)
-			if r != nil && a.isBirthExpr(r) {
-				w.env.set(subj, fsmBit(a.spec.Birth))
-			}
-		}
-	}
-}
-
-// receiverExpr returns the receiver of a method-value call, nil for
-// plain or package-qualified calls.
-func receiverExpr(call *ast.CallExpr) ast.Expr {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	return sel.X
-}
-
-// argExprFor maps a callee parameter to the argument expression at a
-// call site (receiver included); nil when it cannot be resolved.
-func argExprFor(call *ast.CallExpr, pi *fsmParams, pv *types.Var) ast.Expr {
-	if pv == pi.recv {
-		return receiverExpr(call)
-	}
-	if idx := paramIndex(pi, pv); idx >= 0 && idx < len(call.Args) {
-		return call.Args[idx]
-	}
-	return nil
-}
-
-func (a *fsmAnalysis) isPanic(call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := a.prog.Info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "panic"
-}
-
-// --- spec diff and graph emission ------------------------------------
-
-type fsmEdgeKey struct{ from, to int }
-
-func (a *fsmAnalysis) diffSpec() []FSMTransition {
-	specIdx := a.spec.index()
-	type edgeInfo struct {
-		sites map[string]bool
-		conds map[string]bool
-	}
-	edges := map[fsmEdgeKey]*edgeInfo{}
-	for _, s := range a.sites {
-		tp := a.prog.RelPos(s.pos)
-		label := fmt.Sprintf("%s:%d (%s)", tp.Filename, tp.Line, qualifiedName(s.fn))
-		var missing []int
-		for from := 0; from < len(a.spec.States); from++ {
-			if s.from&fsmBit(from) == 0 {
-				continue
-			}
-			k := fsmEdgeKey{from, s.to}
-			e := edges[k]
-			if e == nil {
-				e = &edgeInfo{sites: map[string]bool{}, conds: map[string]bool{}}
-				edges[k] = e
-			}
-			e.sites[label] = true
-			for _, f := range s.flags {
-				e.conds[f] = true
-			}
-			if specIdx[from*len(a.spec.States)+s.to] == nil {
-				missing = append(missing, from)
-			}
-		}
-		for _, from := range missing {
-			a.v.report(s.pos, PassFSM,
-				"transition %s -> %s is not in the %s spec: add it to fsmspec.go with a justification or waive it //fsvet:fsm <reason>",
-				a.spec.StateName(from), a.spec.StateName(s.to), a.spec.Type)
-		}
-	}
-
-	// Spec transitions with no static site: the model claims an edge
-	// the implementation does not have.
-	for _, tr := range a.spec.Transitions {
-		if edges[fsmEdgeKey{tr.From, tr.To}] == nil {
-			a.v.reportGraph(PassFSM, "(fsm graph)",
+// diffSpec reports spec edges with no call and renders the relation.
+func (s *fsmScan) diffSpec() []FSMTransition {
+	for _, tr := range s.spec.Transitions {
+		if s.edges[fsmEdge{tr.From, tr.To}] == nil {
+			s.v.reportGraph(PassFSM, "(fsm graph)",
 				"spec transition %s -> %s (%s) has no static site in %s: the implementation lost this edge or the spec is stale",
-				a.spec.StateName(tr.From), a.spec.StateName(tr.To), tr.Why, a.spec.Type)
+				s.spec.StateName(tr.From), s.spec.StateName(tr.To), tr.Why, s.spec.Type)
 		}
 	}
-
-	keys := make([]fsmEdgeKey, 0, len(edges))
-	for k := range edges {
+	keys := make([]fsmEdge, 0, len(s.edges))
+	for k := range s.edges {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -1392,13 +306,11 @@ func (a *fsmAnalysis) diffSpec() []FSMTransition {
 	})
 	out := make([]FSMTransition, 0, len(keys))
 	for _, k := range keys {
-		e := edges[k]
 		out = append(out, FSMTransition{
-			Type:  a.spec.Type,
-			From:  a.spec.StateName(k.from),
-			To:    a.spec.StateName(k.to),
-			Sites: sortedKeys(e.sites),
-			Conds: sortedKeys(e.conds),
+			Type:  s.spec.Type,
+			From:  s.spec.StateName(k.from),
+			To:    s.spec.StateName(k.to),
+			Sites: sortedKeys(s.edges[k]),
 		})
 	}
 	return out

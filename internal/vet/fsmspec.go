@@ -39,32 +39,12 @@ type SpecTransition struct {
 	Defensive bool
 }
 
-// index returns the transition set keyed by from*len(States)+to.
-func (s *FSMSpec) index() map[int]*SpecTransition {
-	m := make(map[int]*SpecTransition, len(s.Transitions))
-	for i := range s.Transitions {
-		tr := &s.Transitions[i]
-		m[tr.From*len(s.States)+tr.To] = tr
-	}
-	return m
-}
-
 // StateName renders a state value, tolerating out-of-range.
 func (s *FSMSpec) StateName(v int) string {
 	if v >= 0 && v < len(s.States) {
 		return s.States[v]
 	}
 	return fmt.Sprintf("State(%d)", v)
-}
-
-// stateValue resolves a name back to its value, -1 if unknown.
-func (s *FSMSpec) stateValue(name string) int {
-	for i, n := range s.States {
-		if n == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // tcpStates builds the state-name table from the real constants, so the

@@ -1,9 +1,10 @@
 // Package corpus (mounted as fastsocket/internal/kernel/vetcorpus_fsm)
 // exercises every finding kind of the fsm pass against the committed
 // corpus machine (fsmspec.go's corpusSpec): CState with states IDLE,
-// RUN, DONE, GHOST; birth IDLE; legal edges IDLE->RUN, RUN->DONE,
-// DONE->IDLE (defensive), and DONE->GHOST — the last deliberately
-// unimplemented so the missing-site graph finding fires.
+// RUN, DONE, GHOST; birth IDLE; transition method Transition; legal
+// edges IDLE->RUN, RUN->DONE, DONE->IDLE (defensive), and DONE->GHOST —
+// the last deliberately unimplemented so the missing-site graph
+// finding fires.
 package corpus
 
 // CState is the corpus state type named by corpusSpec.
@@ -17,111 +18,130 @@ const (
 	GHOST
 )
 
+// CStates is a set of states, bit 1<<s for state s.
+type CStates uint8
+
 // CSock owns a CState field, which makes it an fsm owner struct.
 type CSock struct {
 	State CState
 	N     int
 }
 
-// NewCSock is a birth function: fresh owners carry the birth state.
+// NewCSock constructs a fresh owner in the birth state.
 func NewCSock() *CSock { return &CSock{} }
 
 // BadBirth constructs an owner in a non-birth state.
 func BadBirth() *CSock {
-	return &CSock{State: RUN} // want "constructed in state RUN; .*birth state is IDLE"
+	return &CSock{State: RUN} // want "constructed outside its birth state IDLE"
 }
 
-// setState is the corpus setter; its call sites are transition sites.
-func (c *CSock) setState(s CState) {
-	c.State = s
-}
-
-// Start is a clean spec'd transition through the setter: the guard
-// proves IDLE, the constant argument names RUN.
-func Start(c *CSock) {
-	if c.State != IDLE {
-		return
+// Transition is the corpus transition method: the one place the state
+// field may be stored.
+func (c *CSock) Transition(from CStates, to CState) {
+	if from&(1<<uint(c.State)) == 0 {
+		panic("corpus: undeclared prior")
 	}
-	c.setState(RUN)
+	c.State = to
 }
 
-// Finish is a clean spec'd transition through a direct guarded store.
-func Finish(c *CSock) {
-	if c.State == RUN {
-		c.State = DONE
-	}
-}
+// Start is a clean spec'd transition.
+func Start(c *CSock) { c.Transition(1<<IDLE, RUN) }
+
+// Finish is a clean spec'd transition.
+func Finish(c *CSock) { c.Transition(1<<RUN, DONE) }
 
 // Recycle exercises the defensive spec edge DONE -> IDLE.
-func Recycle(c *CSock) {
-	if c.State != DONE {
-		return
-	}
-	c.State = IDLE
-}
+func Recycle(c *CSock) { c.Transition(1<<DONE, IDLE) }
 
-// Rewind is not in the spec: RUN -> IDLE must be reported.
+// Rewind declares RUN -> IDLE, which is not in the spec.
 func Rewind(c *CSock) {
-	if c.State != RUN {
-		return
-	}
-	c.State = IDLE // want "transition RUN -> IDLE is not in the .*CState spec"
+	c.Transition(1<<RUN|1<<DONE, IDLE) // want "transition RUN -> IDLE is not in the .*CState spec"
 }
 
 // Skip is also unspec'd (IDLE -> DONE) but carries an audited waiver:
 // the directive must suppress the finding and must not be reported
 // stale.
 func Skip(c *CSock) {
-	if c.State != IDLE {
-		return
-	}
-	//fsvet:fsm corpus: audited shortcut, present to prove waivers suppress
-	c.setState(DONE)
+	//fsvet:ignore fsm corpus: audited shortcut, present to prove waivers suppress
+	c.Transition(1<<IDLE, DONE)
 }
 
-// Promote stores a computed value the pass cannot resolve.
+// Promote stores the state field directly.
 func Promote(c *CSock) {
 	next := c.State + 1
-	c.State = next // want "state stored from a non-constant expression"
+	c.State = next // want "state stored outside the transition method Transition"
 }
 
-// PromoteVia passes a computed target through the setter.
+// PromoteVia passes a computed target to the transition method.
 func PromoteVia(c *CSock, s CState) {
-	c.setState(s + 1) // want "state transition with a non-constant target state"
+	c.Transition(1<<RUN, s+1) // want "transition target state is not a constant"
+}
+
+// Guess passes a computed prior set to the transition method.
+func Guess(c *CSock, prior CStates) {
+	c.Transition(prior, DONE) // want "transition prior set is not a constant"
 }
 
 func pair() (CState, int) { return DONE, 1 }
 
 // Multi splits a tuple into the state field.
 func Multi(c *CSock) {
-	c.State, c.N = pair() // want "state stored from a multi-value expression"
+	c.State, c.N = pair() // want "state stored outside the transition method"
 }
 
 // Bump mutates the state arithmetically.
 func Bump(c *CSock) {
-	c.State++ // want "cannot be checked against the spec: use an explicit constant store"
+	c.State++ // want "state stored outside the transition method"
 }
 
-// Stale carries waivers that suppress nothing this run; both must be
-// reported stale. (The trailing want annotations double as the audit
-// reasons, keeping the directives well-formed.)
+// Stale carries a waiver that suppresses nothing this run; it must be
+// reported stale. (The trailing want annotation doubles as the audit
+// reason, keeping the directive well-formed.)
 func Stale(c *CSock) {
-	if c.State != RUN {
-		return
-	}
-	//fsvet:fsm corpus: obsolete waiver left after its site was fixed // want "stale //fsvet:fsm directive"
-	c.State = DONE
-	//fsvet:ignore fsm corpus: obsolete ignore left after its site was fixed // want "stale //fsvet:ignore fsm directive"
+	//fsvet:ignore fsm corpus: obsolete waiver left after its site was fixed // want "stale //fsvet:ignore fsm directive"
+	c.Transition(1<<RUN, DONE)
 }
 
 // Reasonless directive below: protects nothing and is reported as
 // malformed (asserted explicitly in vet_test.go — a want comment here
 // would become the directive's reason).
 //
-//fsvet:fsm
-func Reasonless(c *CSock) {
-	if c.State != DONE {
-		return
+//fsvet:ignore fsm
+func Reasonless(c *CSock) { c.Transition(1<<DONE, IDLE) }
+
+// seed is a package-level owner literal in a non-birth state.
+var seed = CSock{State: DONE} // want "constructed outside its birth state IDLE"
+
+// BadBirthPositional constructs an owner positionally in a non-birth state.
+func BadBirthPositional() CSock {
+	return CSock{DONE, 0} // want "constructed outside its birth state IDLE"
+}
+
+// Alias takes the state field's address.
+func Alias(c *CSock) *CState {
+	return &c.State // want "address of the state field taken outside the transition method Transition"
+}
+
+// Sweep ranges into the state field.
+func Sweep(c *CSock, states []CState) {
+	for _, c.State = range states { // want "state stored outside the transition method"
 	}
-	c.State = IDLE
+}
+
+// Deferred takes the transition method as a method value.
+func Deferred(c *CSock) func(CStates, CState) {
+	return c.Transition // want "transition method Transition used as a value"
+}
+
+// Expr calls the transition method through a method expression.
+func Expr(c *CSock) {
+	(*CSock).Transition(c, 1<<IDLE, RUN) // want "transition method Transition used as a value"
+}
+
+// Stepper is an interface the owner satisfies.
+type Stepper interface{ Transition(CStates, CState) }
+
+// Indirect calls the transition method through an interface.
+func Indirect(t Stepper) {
+	t.Transition(1<<IDLE, RUN) // want "transition method Transition called through an interface"
 }

@@ -49,29 +49,35 @@
 //     path), so no code can route a cross-shard effect around the
 //     deterministic barrier mailboxes. A marked function that never
 //     posts is a stale marker, also reported.
-//   - fsm: a flow-sensitive extraction of the TCP state machine. Every
-//     assignment to a Sock.State field (direct stores, setter calls,
-//     birth-state composite literals) becomes a static transition with
-//     its guarded prior states and flag conditions recovered from the
-//     enclosing control flow; the relation is diffed both ways against
-//     the committed spec in fsmspec.go. A transition with no spec edge
-//     is a finding (add it to the spec with a justification or waive
-//     it with //fsvet:fsm <reason>); a spec edge with no static site
-//     means the implementation lost the edge or the spec is stale. The
-//     extracted relation (Result.FSMGraph) is also the reference for
-//     the runtime cross-check: cmd/fsvet replays the fsm experiment mix
-//     under the stats.FSMTrace transition tracer and fails if any
-//     observed transition lacks a static site or the mix covers less
-//     than FSMCoverageFloor of the spec's non-defensive edges.
+//   - fsm: the TCP state machine read off its transition calls. Every
+//     state change is a call sk.Transition(from, to) whose prior set
+//     and target are constants, so each from × to pair of a call is a
+//     static edge; the relation is diffed both ways against the
+//     committed spec in fsmspec.go. An edge with no spec entry is a
+//     finding (add it to the spec with a justification or waive it with
+//     //fsvet:ignore fsm <reason>); a spec edge with no call means the
+//     implementation lost the edge or the spec is stale. A non-constant
+//     argument, Transition used other than as the callee of a direct
+//     call (method value or expression, interface call), a store to
+//     Sock.State or its address taken outside Transition, and a Sock
+//     literal outside the birth state CLOSED are findings, since each
+//     would change state where the scan cannot see it. At run time
+//     Transition panics when the socket's state is not among the
+//     call's declared priors, so every transition any run executes is a
+//     spec edge. The extracted relation (Result.FSMGraph) is also the
+//     reference for the runtime cross-check: cmd/fsvet replays the fsm
+//     experiment mix under the stats.FSMTrace transition tracer and
+//     fails if any observed transition lacks a static site or the mix
+//     covers less than FSMCoverageFloor of the spec's non-defensive
+//     edges.
 //
 // Findings are suppressible per line with
 //
 //	//fsvet:ignore <pass> <reason>
 //
-// on the finding's line or the line above (fsm findings also accept
-// the shorthand //fsvet:fsm <reason>). Waivers must earn their keep: a
-// directive that suppresses nothing — no finding on its line or the
-// next — is itself reported as stale, so audited exceptions cannot
+// on the finding's line or the line above. Waivers must earn their
+// keep: a directive that suppresses nothing — no finding on its line or
+// the next — is itself reported as stale, so audited exceptions cannot
 // outlive the code they excused. fsvet loads no _test.go file, so none
 // of these checks covers tests.
 package vet
@@ -179,8 +185,8 @@ func Run(p *Program) *Result {
 	}
 	wg.Wait()
 
-	// Stale waivers: an //fsvet:ignore or //fsvet:fsm directive that
-	// suppressed nothing this run protects nothing and must go.
+	// Stale waivers: an //fsvet:ignore directive that suppressed
+	// nothing this run protects nothing and must go.
 	for _, td := range v.sup.tracked {
 		if !v.sup.used[td.key] {
 			v.findings = append(v.findings, Finding{
@@ -255,9 +261,9 @@ type supKey struct {
 }
 
 // trackedDirective is a waiver eligible for staleness reporting:
-// //fsvet:ignore and //fsvet:fsm directives must suppress something
-// every run or be removed. (//fsvet:shared markers are excluded: they
-// are state documentation as much as waivers.)
+// //fsvet:ignore directives must suppress something every run or be
+// removed. (//fsvet:shared markers are excluded: they are state
+// documentation as much as waivers.)
 type trackedDirective struct {
 	key  supKey
 	col  int
@@ -284,9 +290,9 @@ func (s *suppressor) suppressed(file string, line int, pass string) bool {
 	return hit
 }
 
-// collectDirectives gathers //fsvet:ignore, //fsvet:fsm and
-// //fsvet:shared directives across every loaded file. Malformed ones
-// are findings: they silently protect nothing.
+// collectDirectives gathers //fsvet:ignore and //fsvet:shared
+// directives across every loaded file. Malformed ones are findings:
+// they silently protect nothing.
 func collectDirectives(p *Program) *suppressor {
 	s := &suppressor{lines: map[supKey]bool{}, used: map[supKey]bool{}}
 	for _, ip := range p.Paths {
@@ -322,17 +328,6 @@ func (s *suppressor) directive(p *Program, c *ast.Comment) {
 			s.lines[k] = true
 			s.tracked = append(s.tracked, trackedDirective{key: k, col: tp.Column, text: "//fsvet:ignore " + fields[0]})
 		}
-	case strings.HasPrefix(text, "fsvet:fsm"):
-		// Site-level waiver for the fsm pass, with the audit reason
-		// inline; a reasonless one protects nothing.
-		if len(strings.Fields(strings.TrimPrefix(text, "fsvet:fsm"))) == 0 {
-			s.malformed = append(s.malformed, Finding{File: tp.Filename, Line: tp.Line, Col: tp.Column,
-				Pass: PassDirective, Msg: "fsvet:fsm needs a reason: //fsvet:fsm <reason>"})
-			return
-		}
-		k := supKey{tp.Filename, tp.Line, PassFSM}
-		s.lines[k] = true
-		s.tracked = append(s.tracked, trackedDirective{key: k, col: tp.Column, text: "//fsvet:fsm"})
 	case strings.HasPrefix(text, "fsvet:shared"):
 		// A well-formed site-level shared waiver also suppresses the
 		// shard pass on its line; collectMarkers reports malformed ones.

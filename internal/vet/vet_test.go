@@ -143,8 +143,8 @@ func TestGoldenCorpus(t *testing.T) {
 		},
 		expectation{
 			file: "internal/vet/testdata/corpus/fsm/fsm.go",
-			line: 121,
-			re:   regexp.MustCompile(`fsvet:fsm needs a reason`),
+			line: 109,
+			re:   regexp.MustCompile(`fsvet:ignore fsm needs a reason`),
 		},
 	)
 

@@ -521,8 +521,8 @@ func runSimperf() string {
 				r.AllocsPerMSSSeg, offloadOff.AllocsPerMSSSeg)
 			os.Exit(1)
 		}
-		if r.AllocsPerEvent > 0.7 {
-			fmt.Fprintf(os.Stderr, "fsbench: offload run exceeds the macro alloc ceiling: %.4f allocs/event > 0.7\n",
+		if r.AllocsPerEvent > 0.35 {
+			fmt.Fprintf(os.Stderr, "fsbench: offload run exceeds the macro alloc ceiling: %.4f allocs/event > 0.35\n",
 				r.AllocsPerEvent)
 			os.Exit(1)
 		}

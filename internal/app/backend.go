@@ -20,9 +20,17 @@ type Backend struct {
 	responseLen  int
 	serviceDelay sim.Time
 	respBytes    []byte // constant page, rendered once
+	// respondFn is respondDelayed bound once: a ServiceDelay response
+	// is scheduled with its conn as the argument, not as a closure.
+	respondFn func(any)
 
 	conns map[netproto.FourTuple]*backConn
-	pool  netproto.PacketPool
+	// pool/freeConns recycle packets and connection state (with its
+	// request buffer), as HTTPLoad does. pool is private until a
+	// fabric port attaches the origin, which switches it to the
+	// domain's.
+	pool      *netproto.PacketPool
+	freeConns []*backConn
 
 	// Results.
 	Requests uint64
@@ -37,6 +45,9 @@ type backConn struct {
 	finSent        bool
 	finRcvd        bool
 	finAcked       bool
+	// pending marks a ServiceDelay response still scheduled: the
+	// response's callback, not retire, recycles the conn.
+	pending bool
 }
 
 // BackendConfig configures the origin.
@@ -65,10 +76,37 @@ func NewBackend(loop *sim.Loop, net Wire, cfg BackendConfig) *Backend {
 		responseLen:  cfg.ResponseLen,
 		serviceDelay: cfg.ServiceDelay,
 		conns:        map[netproto.FourTuple]*backConn{},
+		pool:         &netproto.PacketPool{},
 	}
 	b.respBytes = netproto.BuildResponse(b.responseLen)
+	b.respondFn = b.respondDelayed
 	net.Attach(b, cfg.Addr.IP)
 	return b
+}
+
+// usePool adopts the attaching port's domain pool.
+func (b *Backend) usePool(pp *netproto.PacketPool) { b.pool = pp }
+
+// getConn pops a recycled connection, keeping its request buffer's
+// capacity, or builds one.
+func (b *Backend) getConn() *backConn {
+	if n := len(b.freeConns); n > 0 {
+		c := b.freeConns[n-1]
+		b.freeConns[n-1] = nil
+		b.freeConns = b.freeConns[:n-1]
+		*c = backConn{req: c.req[:0]}
+		return c
+	}
+	return &backConn{}
+}
+
+// retire drops a connection from the table and recycles it, unless
+// its delayed response is still scheduled.
+func (b *Backend) retire(ft netproto.FourTuple, c *backConn) {
+	delete(b.conns, ft)
+	if !c.pending {
+		b.freeConns = append(b.freeConns, c)
+	}
 }
 
 // Live reports the live connection count (tests).
@@ -94,6 +132,19 @@ func (b *Backend) respond(c *backConn) {
 	c.finSent = true
 }
 
+// respondDelayed answers after the service delay. A connection reset
+// meanwhile has left the table: nothing answers it, and only now,
+// with no reference left, is it recycled.
+func (b *Backend) respondDelayed(v any) {
+	c := v.(*backConn)
+	c.pending = false
+	if b.conns[netproto.FourTuple{Src: c.remote, Dst: c.local}] != c {
+		b.freeConns = append(b.freeConns, c)
+		return
+	}
+	b.respond(c)
+}
+
 // Deliver implements Endpoint; the origin is the terminal consumer of
 // every packet the proxy sends it.
 func (b *Backend) Deliver(p *netproto.Packet) {
@@ -113,12 +164,9 @@ func (b *Backend) deliver(p *netproto.Packet) {
 	if !ok {
 		if p.Flags.Has(netproto.SYN) && !p.Flags.Has(netproto.ACK) {
 			isn := b.rng.Uint32()
-			c = &backConn{
-				local:  p.Dst,
-				remote: p.Src,
-				sndNxt: isn,
-				rcvNxt: p.Seq + 1,
-			}
+			c = b.getConn()
+			c.local, c.remote = p.Dst, p.Src
+			c.sndNxt, c.rcvNxt = isn, p.Seq+1
 			b.conns[ft] = c
 			// SYN-ACK consumes one sequence number.
 			sa := b.pool.Get()
@@ -131,7 +179,7 @@ func (b *Backend) deliver(p *netproto.Packet) {
 		return
 	}
 	if p.Flags.Has(netproto.RST) {
-		delete(b.conns, ft)
+		b.retire(ft, c)
 		return
 	}
 	if p.Flags.Has(netproto.SYN) {
@@ -153,8 +201,8 @@ func (b *Backend) deliver(p *netproto.Packet) {
 			c.respSent = true
 			b.Requests++
 			if b.serviceDelay > 0 {
-				cc := c
-				b.loop.After(b.serviceDelay, func() { b.respond(cc) })
+				c.pending = true
+				b.loop.AfterArg(b.serviceDelay, b.respondFn, c)
 			} else {
 				b.respond(c)
 			}
@@ -172,6 +220,6 @@ func (b *Backend) deliver(p *netproto.Packet) {
 		b.send(c, 0, nil)
 	}
 	if c.finRcvd && c.finAcked {
-		delete(b.conns, ft)
+		b.retire(ft, c)
 	}
 }

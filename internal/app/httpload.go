@@ -45,8 +45,9 @@ type HTTPLoad struct {
 	reqBytes []byte
 	// pool/freeConns recycle packets and connection state; the client
 	// is an infinite-capacity endpoint, but its allocations still cost
-	// real memory churn in long sweeps.
-	pool      netproto.PacketPool
+	// real memory churn in long sweeps. pool is private until a fabric
+	// port attaches the client, which switches it to the domain's.
+	pool      *netproto.PacketPool
 	freeConns []*cliConn
 
 	// Results.
@@ -197,6 +198,7 @@ func NewHTTPLoad(loop *sim.Loop, net Wire, cfg HTTPLoadConfig) *HTTPLoad {
 		backoffCap:    cfg.BackoffCap,
 		retryBudget:   cfg.RetryBudget,
 		conns:         map[netproto.FourTuple]*cliConn{},
+		pool:          &netproto.PacketPool{},
 		portCursor:    make([]netproto.Port, len(cfg.ClientIPs)),
 		Latencies:     stats.NewHistogram(),
 		ConnLatencies: stats.NewHistogram(),
@@ -208,6 +210,9 @@ func NewHTTPLoad(loop *sim.Loop, net Wire, cfg HTTPLoadConfig) *HTTPLoad {
 	net.Attach(h, cfg.ClientIPs...)
 	return h
 }
+
+// usePool adopts the attaching port's domain pool.
+func (h *HTTPLoad) usePool(pp *netproto.PacketPool) { h.pool = pp }
 
 // getConn pops a recycled connection or builds one with its persistent
 // timer callbacks.

@@ -86,7 +86,62 @@ func NewShardedNetwork(eng *shard.Engine, delay sim.Time) *Network {
 			ep.Deliver(p)
 		}
 	}
+	eng.AtBarrier(n.balancePools)
 	return n
+}
+
+// The water marks of the barrier-time packet balance. Every packet
+// crossing domains parks in the receiver's pool, so a domain that
+// receives more than it sends (the server of a short-lived mix: the
+// client sends one more segment per connection than it gets) gains
+// packets and its peer runs dry. At each barrier, ports holding more
+// than poolHighWater parked packets give their surplus to ports
+// holding fewer than poolLowWater. Packets are moved, never dropped:
+// trimming a pool frees packets that some domain allocates again
+// (trimming every pool to 512 made keepalive_bulk, whose server draws
+// ~12 segments per request in bursts, allocate 5.4 per request).
+// The figures below are the deepest net draws over one 20µs window of
+// the fsperf mixes at seed 1.
+const (
+	// poolLowWater is what a port is refilled to. A domain that lives
+	// on refills draws at most 21 (the short mixes' client) to 28 (the
+	// proxy's backend) packets per window, so the reserve outlasts
+	// several windows. It stays well below poolHighWater: refilling to
+	// 512 (under a 1024 high mark) made keepalive_bulk's server
+	// allocate again, because refills pulled packets out of a domain
+	// whose traffic is balanced but bursty.
+	poolLowWater = 256
+	// poolHighWater is what a donor keeps. It exceeds the deepest draw
+	// of such a bursty domain (keepalive_bulk's server: 384 in one
+	// window), so donating never leaves the donor short in the next.
+	// It is also how much surplus a domain gathers, by its peers
+	// allocating, before it gives any: at 1024 a small proxy bed was
+	// still allocating after 40 ms.
+	poolHighWater = 512
+)
+
+// balancePools moves parked surplus packets from ports above
+// poolHighWater to ports below poolLowWater, in domain index order. It
+// is the engine's barrier hook: no worker runs, so every port's pool
+// may be touched. Pools carry no simulated state, so the move cannot
+// change a simulated outcome.
+func (n *Network) balancePools() {
+	for _, dst := range n.ports {
+		if dst == nil || dst.pool.Parked() >= poolLowWater {
+			continue
+		}
+		for _, src := range n.ports {
+			if src == nil || src == dst {
+				continue
+			}
+			if surplus := src.pool.Parked() - poolHighWater; surplus > 0 {
+				src.pool.MoveTo(&dst.pool, min(surplus, poolLowWater-dst.pool.Parked()))
+				if dst.pool.Parked() >= poolLowWater {
+					break
+				}
+			}
+		}
+	}
 }
 
 // Freeze seals the sharded topology: after it, Attach panics. The
@@ -122,15 +177,27 @@ func (n *Network) FaultStats() fault.Stats {
 }
 
 // Port is one domain's handle on the fabric. Each sending domain owns
-// its fault sender-view and counters, so transmit-side state is never
-// shared across worker threads; routing state (the endpoint and
-// domain maps) is sealed read-only by Freeze. Port implements Wire.
+// its fault sender-view, counters and packet pool, so transmit-side
+// state is never shared across worker threads; routing state (the
+// endpoint and domain maps) is sealed read-only by Freeze. Port
+// implements Wire.
 type Port struct {
 	n      *Network
 	dom    int
 	loop   *sim.Loop
 	faults *fault.Engine // sender view, created when the fabric is armed
 	stats  NetworkStats
+	// pool is the domain's skb pool: the attached kernels and the
+	// HTTPLoad and Backend endpoints all draw from and free into it,
+	// and balancePools moves surplus between domains at barriers.
+	pool netproto.PacketPool
+}
+
+// poolUser is an endpoint that adopts its domain's packet pool when it
+// is attached (HTTPLoad, Backend). A wrapper around such an endpoint
+// hides the method, and the endpoint then keeps its private pool.
+type poolUser interface {
+	usePool(pp *netproto.PacketPool)
 }
 
 // Port returns domain dom's transmit handle.
@@ -145,9 +212,13 @@ func (n *Network) Port(dom int) *Port {
 }
 
 // Attach registers an endpoint's IPs as owned by this port's domain.
+// An endpoint that keeps a packet pool switches to the domain's.
 func (p *Port) Attach(ep Endpoint, ips ...netproto.IP) {
 	if p.n.frozen {
 		panic("app: Attach after the sharded fabric started")
+	}
+	if u, ok := ep.(poolUser); ok {
+		u.usePool(&p.pool)
 	}
 	for _, ip := range ips {
 		p.n.endpoints[ip] = ep
@@ -156,11 +227,13 @@ func (p *Port) Attach(ep Endpoint, ips ...netproto.IP) {
 }
 
 // AttachKernel wires a kernel into this port's domain; the kernel's
-// loop must be the domain's loop. A kernel carrying a fault engine
-// arms the whole fabric: every port then derives a sender view
-// sharing the engine's seed and plan.
+// loop must be the domain's loop. The kernel's skb pool becomes the
+// domain's. A kernel carrying a fault engine arms the whole fabric:
+// every port then derives a sender view sharing the engine's seed and
+// plan.
 func (p *Port) AttachKernel(k *kernel.Kernel) {
 	k.SendToWire = p.Send
+	k.UsePacketPool(&p.pool)
 	p.Attach(k, k.IPs()...)
 	if e := k.Faults(); e != nil {
 		p.n.faults = e

@@ -44,6 +44,12 @@ type pxWorker struct {
 	listenFD map[int]bool
 	conns    []*pxConn // fd-indexed (the HAProxy idiom)
 	nextBk   int
+	// bufs is the worker's free list of relay buffers. A request is
+	// read into one, handed to the backend socket without a copy, and
+	// a response likewise to the client socket. A buffer passed to Send
+	// belongs to the socket until the kernel hands it back through the
+	// process's OnSendDone (putBuf).
+	bufs [][]byte
 }
 
 type pxState int
@@ -58,8 +64,8 @@ const (
 type pxConn struct {
 	state   pxState
 	isFront bool
-	peer    int // the other side's fd, -1 if none
-	buf     []byte
+	peer    int    // the other side's fd, -1 if none
+	buf     []byte // from the worker's free list; nil once sent or idle
 }
 
 // ProxyConfig configures the proxy.
@@ -106,6 +112,7 @@ func NewProxy(k *kernel.Kernel, cfg ProxyConfig) *Proxy {
 		w.p = k.NewProcess(i % k.Config().Cores)
 		w.p.OnStart = w.start
 		w.p.OnEvents = w.events
+		w.p.OnSendDone = w.putBuf
 		px.workers = append(px.workers, w)
 	}
 	return px
@@ -162,6 +169,42 @@ func (w *pxWorker) start(t *cpu.Task) {
 		w.p.EpollAdd(t, fd)
 		w.listenFD[fd] = true
 	}
+}
+
+// recvInto appends data to c's buffer, first taking an empty one off
+// the free list (append allocates when the list is empty).
+func (w *pxWorker) recvInto(c *pxConn, data []byte) {
+	if n := len(w.bufs); c.buf == nil && n > 0 {
+		c.buf = w.bufs[n-1]
+		w.bufs[n-1] = nil
+		w.bufs = w.bufs[:n-1]
+	}
+	c.buf = append(c.buf, data...)
+}
+
+// putBuf returns a relay buffer to the free list: the kernel's
+// completion for a sent one, or the worker's own for one never sent.
+func (w *pxWorker) putBuf(b []byte) {
+	if cap(b) > 0 {
+		w.bufs = append(w.bufs, b[:0])
+	}
+}
+
+// send passes c's buffer to the socket, or takes it back when Send
+// queued nothing.
+func (w *pxWorker) send(t *cpu.Task, fd int, c *pxConn) {
+	if w.p.Send(t, fd, c.buf) == 0 {
+		w.putBuf(c.buf)
+	}
+	c.buf = nil
+}
+
+// idle retires c's state, returning an unsent buffer.
+func (w *pxWorker) idle(c *pxConn) {
+	w.putBuf(c.buf)
+	c.state = pxIdle
+	c.buf = nil
+	c.peer = -1
 }
 
 func (w *pxWorker) conn(fd int) *pxConn {
@@ -224,7 +267,7 @@ func (w *pxWorker) frontReadable(t *cpu.Task, fd int, c *pxConn) {
 		w.teardown(t, fd, c)
 		return
 	}
-	c.buf = append(c.buf, data...)
+	w.recvInto(c, data)
 	if bytes.HasSuffix(c.buf, []byte("\r\n\r\n")) {
 		t.Charge(w.px.Costs.ParseRequest + w.px.Costs.Bookkeeping)
 		// Open the backend connection (the active side).
@@ -238,8 +281,8 @@ func (w *pxWorker) frontReadable(t *cpu.Task, fd int, c *pxConn) {
 		}
 		w.p.EpollAdd(t, bfd)
 		bc := w.conn(bfd)
-		*bc = pxConn{state: pxBackConnecting, peer: fd}
-		bc.buf = append(bc.buf[:0], c.buf...) // stash the request
+		// The request moves to the backend side as it is.
+		*bc = pxConn{state: pxBackConnecting, peer: fd, buf: c.buf}
 		c.peer = bfd
 		c.buf = nil
 		return
@@ -251,8 +294,7 @@ func (w *pxWorker) frontReadable(t *cpu.Task, fd int, c *pxConn) {
 
 func (w *pxWorker) backConnected(t *cpu.Task, fd int, c *pxConn) {
 	t.Charge(w.px.Costs.Bookkeeping)
-	w.p.Send(t, fd, c.buf)
-	c.buf = nil
+	w.send(t, fd, c)
 	c.state = pxBackReading
 }
 
@@ -265,7 +307,7 @@ func (w *pxWorker) backReadable(t *cpu.Task, fd int, c *pxConn) {
 		w.teardown(t, fd, c)
 		return
 	}
-	c.buf = append(c.buf, data...)
+	w.recvInto(c, data)
 	if !eof {
 		return
 	}
@@ -273,33 +315,23 @@ func (w *pxWorker) backReadable(t *cpu.Task, fd int, c *pxConn) {
 	t.Charge(w.px.Costs.Bookkeeping)
 	front := c.peer
 	if front >= 0 && front < len(w.conns) && w.conns[front] != nil && w.conns[front].state != pxIdle {
-		w.p.Send(t, front, c.buf)
-		fc := w.conns[front]
-		fc.state = pxIdle
-		fc.buf = nil
-		fc.peer = -1
+		w.send(t, front, c)
+		w.idle(w.conns[front])
 		w.p.CloseFD(t, front)
 		w.px.Proxied++
 		w.px.PerWorkerProxied[w.idx]++
 	}
-	c.state = pxIdle
-	c.buf = nil
-	c.peer = -1
+	w.idle(c)
 	w.p.CloseFD(t, fd)
 }
 
 // teardown closes a connection pair after an error.
 func (w *pxWorker) teardown(t *cpu.Task, fd int, c *pxConn) {
 	peer := c.peer
-	c.state = pxIdle
-	c.buf = nil
-	c.peer = -1
+	w.idle(c)
 	w.p.CloseFD(t, fd)
 	if peer >= 0 && peer < len(w.conns) && w.conns[peer] != nil && w.conns[peer].state != pxIdle {
-		pc := w.conns[peer]
-		pc.state = pxIdle
-		pc.buf = nil
-		pc.peer = -1
+		w.idle(w.conns[peer])
 		w.p.CloseFD(t, peer)
 	}
 }

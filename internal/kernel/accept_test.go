@@ -40,8 +40,8 @@ func TestAcceptChecksGlobalQueueFirst(t *testing.T) {
 		// A connection waits in each queue.
 		globalChild := mkChild(k, lsk, 1)
 		localChild := mkChild(k, clone, 2)
-		lsk.AcceptQueue = append(lsk.AcceptQueue, globalChild)
-		clone.AcceptQueue = append(clone.AcceptQueue, localChild)
+		lsk.PushAccept(globalChild)
+		clone.PushAccept(localChild)
 
 		cfd, ok := p.Accept(tk, fd)
 		if !ok {
@@ -65,7 +65,7 @@ func TestAcceptDrainsLocalAfterGlobal(t *testing.T) {
 			t.Fatal(err)
 		}
 		clone := ext(lsk).listen.clones[0]
-		clone.AcceptQueue = append(clone.AcceptQueue, mkChild(k, clone, 3))
+		clone.PushAccept(mkChild(k, clone, 3))
 		if _, ok := p.Accept(tk, fd); !ok {
 			t.Error("local-queue connection not accepted")
 		}

@@ -85,6 +85,11 @@ type sockExt struct {
 	// kind drain in the order the counters were raised.
 	pendingRtx, pendingTw int
 
+	// sent lists the buffers Send queued on the socket, handed back
+	// through the owner's OnSendDone at the free point (putSock). Its
+	// capacity survives recycling.
+	sent [][]byte
+
 	active    bool // opened via connect()
 	portBound bool // owns an ephemeral port to free on destroy
 	appClosed bool
@@ -182,7 +187,9 @@ type Kernel struct {
 
 	// pool/socks/extFree recycle packet headers, TCBs and their
 	// kernel-side extensions (enable_skb_pool and the sock slabs).
-	// Per-kernel: the sweep runner executes whole simulations on
+	// socks and extFree are per-kernel; pool starts private and
+	// becomes the fabric domain's shared pool on attach
+	// (UsePacketPool). The sweep runner executes whole simulations on
 	// separate goroutines, so pools are never shared across loops.
 	pool  *netproto.PacketPool
 	socks *tcp.SockPool
@@ -363,8 +370,19 @@ func (k *Kernel) FSMTrace() *stats.FSMTrace { return k.fsm }
 func (k *Kernel) Faults() *fault.Engine { return k.faults }
 
 // PacketPool returns the machine's skb free list (tests and the
-// allocation cross-check read its counters).
+// allocation cross-check read its counters). Once the kernel is
+// attached to a fabric port it is the domain's shared pool, so the
+// counters include the other endpoints of that domain.
 func (k *Kernel) PacketPool() *netproto.PacketPool { return k.pool }
+
+// UsePacketPool makes pp the machine's skb free list, for the stack's
+// own segments too (the cloned tcp.Params every socket points at). The
+// fabric calls it when the kernel is attached, before the run, so
+// every endpoint of a domain shares one pool.
+func (k *Kernel) UsePacketPool(pp *netproto.PacketPool) {
+	k.pool = pp
+	k.cfg.TCP.Pool = pp
+}
 
 // TCBPool returns the machine's socket free list.
 func (k *Kernel) TCBPool() *tcp.SockPool { return k.socks }
@@ -804,7 +822,7 @@ func (k *Kernel) Accepted(t *cpu.Task, child *tcp.Sock) {
 	}
 	parent.Slock.Acquire(t)
 	t.Charge(c.AcceptPush)
-	parent.AcceptQueue = append(parent.AcceptQueue, child)
+	parent.PushAccept(child)
 	parent.Slock.Release(t)
 
 	lex := ext(parent).listen
@@ -889,7 +907,7 @@ func (k *Kernel) getExt(sk *tcp.Sock) *sockExt {
 		e := k.extFree[n-1]
 		k.extFree[n-1] = nil
 		k.extFree = k.extFree[:n-1]
-		*e = sockExt{sk: sk, fd: -1, rtxFn: e.rtxFn, twFn: e.twFn}
+		*e = sockExt{sk: sk, fd: -1, rtxFn: e.rtxFn, twFn: e.twFn, sent: e.sent[:0]}
 		sk.User = e //fsvet:shared socket fresh off the free list: unhashed, no fd, exclusively owned by this call
 		return e
 	}
@@ -904,7 +922,9 @@ func (k *Kernel) getExt(sk *tcp.Sock) *sockExt {
 // them: the TCB is unhashed (Destroy), the application dropped its fd
 // (or never had one it still holds), and no fired-but-unhandled timer
 // softirq is queued. Both Destroy and CloseFD call this; whichever
-// happens second frees. Listen sockets are never pooled.
+// happens second frees. Nothing can transmit from the socket's send
+// buffers any more, so this is also where they complete
+// (Process.OnSendDone). Listen sockets are never pooled.
 func (k *Kernel) putSock(e *sockExt) {
 	if e.freed || !e.destroyed || !e.appClosed || e.pendingRtx > 0 || e.pendingTw > 0 {
 		return
@@ -913,6 +933,11 @@ func (k *Kernel) putSock(e *sockExt) {
 		return
 	}
 	e.freed = true
+	for i, buf := range e.sent {
+		e.sent[i] = nil
+		e.owner.OnSendDone(buf)
+	}
+	e.sent = e.sent[:0]
 	sk := e.sk
 	e.sk, e.owner, e.file, e.watch = nil, nil, nil, nil
 	sk.User = nil

@@ -153,7 +153,7 @@ func (k *Kernel) abortBacklog(t *cpu.Task, parent *tcp.Sock, silent, drain bool)
 			k.stats.CrashAborts++
 		}
 	}
-	parent.AcceptQueue = parent.AcceptQueue[:0]
+	parent.ClearAccept()
 	parent.SynQueue = 0
 }
 
@@ -263,7 +263,7 @@ func (k *Kernel) hostRestart(t *cpu.Task) {
 		}
 		lex := ext(lsk).listen
 		lsk.Transition(1<<tcp.Closed, tcp.Listen)
-		lsk.AcceptQueue = lsk.AcceptQueue[:0]
+		lsk.ClearAccept()
 		lsk.SynQueue = 0
 		lex.clones = map[int]*tcp.Sock{}
 		lex.watchers = lex.watchers[:0]

@@ -30,6 +30,14 @@ type Process struct {
 	OnEvents func(t *cpu.Task, evs []epoll.Ready)
 	// BatchMax caps events per epoll_wait (nginx uses 512).
 	BatchMax int
+	// OnSendDone, when set, gets back every buffer Send queued, once
+	// the socket can no longer transmit from it: at the socket's free
+	// point, when its TCB is unhashed, its fd closed and no timer
+	// handler of it is pending. That is MSG_ZEROCOPY's completion
+	// notification, and the earliest the buffer may be reused. Each
+	// such buffer comes back exactly once, on whichever core frees the
+	// socket, without a charge. When it is nil Send records nothing.
+	OnSendDone func(buf []byte)
 
 	//fsvet:percore set once on the process's first run, on its own core
 	started bool
@@ -302,10 +310,10 @@ func (p *Process) EpollAdd(t *cpu.Task, fd int) {
 		// edge-triggered schedule untouched.
 		if p.K.lifePlan.Enabled() {
 			p.Ep.SetLevel(w, func() epoll.Events {
-				if len(lex.global.AcceptQueue) > 0 {
+				if lex.global.AcceptLen() > 0 {
 					return epoll.In
 				}
-				if cl := lex.clones[core]; cl != nil && len(cl.AcceptQueue) > 0 {
+				if cl := lex.clones[core]; cl != nil && cl.AcceptLen() > 0 {
 					return epoll.In
 				}
 				return 0
@@ -354,24 +362,22 @@ dequeue:
 	if clone != nil {
 		// Fast path: lock-free check of the global queue first.
 		t.Charge(c.AtomicCheck)
-		if len(lex.global.AcceptQueue) > 0 {
+		if lex.global.AcceptLen() > 0 {
 			g := lex.global
 			g.Slock.Acquire(t)
-			if len(g.AcceptQueue) > 0 {
+			if g.AcceptLen() > 0 {
 				t.Charge(c.AcceptPopShared)
-				child = g.AcceptQueue[0]
-				g.AcceptQueue = g.AcceptQueue[1:]
+				child = g.PopAccept()
 			} else {
 				t.Charge(c.AcceptEmpty)
 			}
 			g.Slock.Release(t)
 		}
-		if child == nil && len(clone.AcceptQueue) > 0 {
+		if child == nil && clone.AcceptLen() > 0 {
 			clone.Slock.Acquire(t)
-			if len(clone.AcceptQueue) > 0 {
+			if clone.AcceptLen() > 0 {
 				t.Charge(c.AcceptPop)
-				child = clone.AcceptQueue[0]
-				clone.AcceptQueue = clone.AcceptQueue[1:]
+				child = clone.PopAccept()
 			} else {
 				t.Charge(c.AcceptEmpty)
 			}
@@ -381,10 +387,9 @@ dequeue:
 		// Stock path: the (possibly shared) listen socket lock.
 		lsk.Slock.Acquire(t)
 		k.touch(t, lsk)
-		if len(lsk.AcceptQueue) > 0 {
+		if lsk.AcceptLen() > 0 {
 			t.Charge(c.AcceptPopShared)
-			child = lsk.AcceptQueue[0]
-			lsk.AcceptQueue = lsk.AcceptQueue[1:]
+			child = lsk.PopAccept()
 		} else {
 			t.Charge(c.AcceptEmpty)
 		}
@@ -523,9 +528,12 @@ func (p *Process) Recv(t *cpu.Task, fd int, max int) (data []byte, eof bool, ok 
 	return data, eof, true
 }
 
-// Send writes data to the connection, returning bytes queued. The
-// socket keeps data itself until the peer ACKs it (see tcp.Send), so
-// the caller must not reuse the slice.
+// Send writes data to the connection, returning bytes queued: all of
+// data, or 0 (a bad fd, or a socket past sending). After a nonzero
+// return the socket keeps the slice itself until it can no longer
+// retransmit from it (see tcp.Send), so the caller must not reuse it
+// before OnSendDone hands it back; without OnSendDone, never. After a
+// 0 return the caller still owns data.
 //
 //fsvet:hotpath write() runs per response on the steady-state path
 func (p *Process) Send(t *cpu.Task, fd int, data []byte) int {
@@ -540,6 +548,9 @@ func (p *Process) Send(t *cpu.Task, fd int, data []byte) int {
 	k.touch(t, e.sk)
 	n := tcp.Send(k, t, e.sk, data)
 	e.sk.Slock.Release(t)
+	if n > 0 && p.OnSendDone != nil {
+		e.sent = append(e.sent, data)
+	}
 	return n
 }
 

@@ -149,14 +149,21 @@ func (p *Packet) PayloadLen() int {
 // PacketPool is a free list of Packet structs — the simulated
 // equivalent of Fastsocket's enable_skb_pool: the steady-state data
 // path recycles segment headers instead of allocating one per
-// transmission. A pool belongs to one simulation (the sweep runner
-// executes whole simulations on separate goroutines, so pools must
-// never be shared across loops); a nil *PacketPool degrades to plain
-// allocation. Pools adopt foreign packets: Put parks any packet not
-// already parked, whoever allocated it, so the client side recycling
-// the server's segments (and vice versa) keeps both lists balanced.
+// transmission. Put parks any packet not already parked, whoever
+// allocated it, because the wire hands the sender's *Packet to the
+// receiver: the receiving endpoint is the one that frees it. A pool
+// therefore gains what its users receive and loses what they send,
+// and it stays balanced only when every endpoint that exchanges
+// packets with another draws from the same pool. app's fabric gives
+// each shard domain one pool, shared by every endpoint attached to
+// that domain, and moves parked surplus between domains at engine
+// barriers (MoveTo); an endpoint with a private pool that receives
+// more than it sends hoards packets, one that sends more allocates.
+// A pool belongs to one simulation (the sweep runner executes whole
+// simulations on separate goroutines) and to one domain of it at a
+// time; a nil *PacketPool degrades to plain allocation.
 //
-//fsvet:percore free lists shard per-core with the engine (per-CPU skb caches); today one event loop serializes access
+//fsvet:percore one pool per shard domain: only that domain's loop touches it during a window, and the engine coordinator between windows
 type PacketPool struct {
 	free []*Packet
 	// Gets/News/Puts count pool traffic (News = Gets that had to
@@ -200,6 +207,24 @@ func (pp *PacketPool) Put(p *Packet) {
 	}
 	*p = Packet{pooled: true, Frags: frags[:0]}
 	pp.free = append(pp.free, p)
+}
+
+// Parked reports how many packets wait in the free list.
+func (pp *PacketPool) Parked() int {
+	if pp == nil {
+		return 0
+	}
+	return len(pp.free)
+}
+
+// MoveTo moves up to n (>= 0) parked packets to dst, which keeps them
+// parked. Nothing is counted as a Get or a Put: the packets change
+// pools, not owners.
+func (pp *PacketPool) MoveTo(dst *PacketPool, n int) {
+	keep := len(pp.free) - min(n, len(pp.free))
+	dst.free = append(dst.free, pp.free[keep:]...)
+	clear(pp.free[keep:])
+	pp.free = pp.free[:keep]
 }
 
 // Len returns the total wire length in bytes (one header plus the

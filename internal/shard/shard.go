@@ -104,6 +104,9 @@ type Engine struct {
 
 	workers []*worker
 	wg      sync.WaitGroup
+
+	// barrier holds the coordinator hooks run after every window.
+	barrier []func()
 }
 
 // worker steps a fixed subset of domains each window.
@@ -154,6 +157,15 @@ func (e *Engine) AddDomain(name string) *sim.Loop {
 	e.merge = append(e.merge, &batch{})
 	return l
 }
+
+// AtBarrier registers fn to run on the coordinator after every window
+// (the degenerate epoch at a Run's start included), while no worker is
+// running: the one point where state owned by different domains may be
+// touched together. Hooks run in registration order. A hook must not
+// change simulated state — it runs at a cadence set by the lookahead,
+// not by simulated causality — so it may only move host-side resources
+// such as pooled packet headers between domains.
+func (e *Engine) AtBarrier(fn func()) { e.barrier = append(e.barrier, fn) }
 
 // Domains reports the shard count.
 func (e *Engine) Domains() int { return len(e.loops) }
@@ -300,6 +312,7 @@ func (e *Engine) Run(until sim.Time) {
 	e.horizon = e.now
 	e.drain(e.now)
 	e.step(e.now)
+	e.atBarrier()
 	e.stats.Epochs++
 	for e.now < until {
 		w := e.now + e.cfg.Lookahead
@@ -310,7 +323,15 @@ func (e *Engine) Run(until sim.Time) {
 		e.drain(w)
 		e.step(w)
 		e.now = w
+		e.atBarrier()
 		e.stats.Epochs++
+	}
+}
+
+// atBarrier runs the coordinator hooks between windows.
+func (e *Engine) atBarrier() {
+	for _, fn := range e.barrier {
+		fn()
 	}
 }
 

@@ -215,3 +215,44 @@ func TestRepeatedRunsContinue(t *testing.T) {
 	}
 	e.Close()
 }
+
+// TestBarrierHookSeesEveryDomainAtTheBarrier: the hook runs once per
+// window (the degenerate epoch included) on the coordinator, with every
+// domain stopped exactly at the barrier, so it may touch state the
+// domains' workers own (under -race with two workers, a hook that ran
+// while a worker did would be reported).
+func TestBarrierHookSeesEveryDomainAtTheBarrier(t *testing.T) {
+	e := NewEngine(Config{Lookahead: 50 * sim.Microsecond, Workers: 2})
+	loops := []*sim.Loop{e.AddDomain("a"), e.AddDomain("b")}
+	counts := make([]int, len(loops)) // each written only by its domain
+	for i, l := range loops {
+		i, l := i, l
+		var tick func()
+		tick = func() {
+			counts[i]++
+			l.After(7*sim.Microsecond, tick)
+		}
+		l.At(0, tick)
+	}
+	hooks := 0
+	var seen []int
+	e.AtBarrier(func() {
+		hooks++
+		for i, l := range loops {
+			if l.Now() != e.Now() {
+				t.Errorf("hook %d: domain %d at %v, barrier %v", hooks, i, l.Now(), e.Now())
+			}
+		}
+		seen = append(seen[:0], counts...)
+	})
+	e.Run(sim.Millisecond)
+	e.Close()
+	if want := int(e.Stats().Epochs); hooks != want {
+		t.Errorf("hook ran %d times over %d windows", hooks, want)
+	}
+	for i := range counts {
+		if seen[i] != counts[i] {
+			t.Errorf("domain %d: hook saw %d ticks, domain made %d", i, seen[i], counts[i])
+		}
+	}
+}

@@ -192,9 +192,11 @@ type Sock struct {
 	unacked []Seg
 	retries int
 
-	// Listen-socket state.
-	AcceptQueue []*Sock
-	Parent      *Sock // listener that spawned this child
+	// Listen-socket state. The accept queue is acceptQ[acceptHead:]
+	// (see PushAccept and PopAccept).
+	acceptQ    []*Sock
+	acceptHead int
+	Parent     *Sock // listener that spawned this child
 	// SynQueue counts half-open children (SYN_RCVD) of a listener.
 	SynQueue int
 	// CookiesSent / CookiesAccepted count the syncookie defence's
@@ -282,15 +284,54 @@ func (sk *Sock) Reinit(params *Params) {
 	sk.Slock.Reset()
 	//fsvet:shared parked socket fresh off the free list: no table entry, no fd, exclusively owned
 	*sk = Sock{
-		State:       Closed,
-		HomeCore:    -1,
-		Slock:       sk.Slock,
-		Lines:       cache.NewLines(3),
-		Params:      params,
-		RcvBuf:      sk.RcvBuf[:0],
-		unacked:     sk.unacked[:0],
-		AcceptQueue: sk.AcceptQueue[:0],
+		State:    Closed,
+		HomeCore: -1,
+		Slock:    sk.Slock,
+		Lines:    cache.NewLines(3),
+		Params:   params,
+		RcvBuf:   sk.RcvBuf[:0],
+		unacked:  sk.unacked[:0],
+		acceptQ:  sk.acceptQ[:0],
 	}
+}
+
+// AcceptLen reports the children waiting in the accept queue.
+func (sk *Sock) AcceptLen() int { return len(sk.acceptQ) - sk.acceptHead }
+
+// PushAccept appends an ESTABLISHED child to the accept queue. When the
+// array is full and at least half of it lies before the head (already
+// popped), the live entries slide to the front instead of the array
+// growing.
+func (sk *Sock) PushAccept(child *Sock) {
+	if h := sk.acceptHead; h > 0 && len(sk.acceptQ) == cap(sk.acceptQ) && h >= len(sk.acceptQ)-h {
+		n := copy(sk.acceptQ, sk.acceptQ[h:])
+		clear(sk.acceptQ[n:])
+		sk.acceptQ, sk.acceptHead = sk.acceptQ[:n], 0
+	}
+	sk.acceptQ = append(sk.acceptQ, child)
+}
+
+// PopAccept removes and returns the oldest queued child, or nil when
+// the queue is empty. A pop advances the head; the queue rewinds to
+// the start of its array when it drains, so the pushes that follow
+// reuse its capacity.
+func (sk *Sock) PopAccept() *Sock {
+	if sk.acceptHead == len(sk.acceptQ) {
+		return nil
+	}
+	child := sk.acceptQ[sk.acceptHead]
+	sk.acceptQ[sk.acceptHead] = nil
+	sk.acceptHead++
+	if sk.acceptHead == len(sk.acceptQ) {
+		sk.acceptQ, sk.acceptHead = sk.acceptQ[:0], 0
+	}
+	return child
+}
+
+// ClearAccept empties the accept queue (listener teardown).
+func (sk *Sock) ClearAccept() {
+	clear(sk.acceptQ)
+	sk.acceptQ, sk.acceptHead = sk.acceptQ[:0], 0
 }
 
 // SockPool is a free list of TCP control blocks. The kernel returns a
@@ -376,7 +417,7 @@ func ListenInput(env Env, t *cpu.Task, listener *Sock, p *netproto.Packet, isn u
 		listener.DroppedSegs++
 		return nil
 	}
-	if len(listener.AcceptQueue) >= listener.Params.Backlog {
+	if listener.AcceptLen() >= listener.Params.Backlog {
 		listener.DroppedSegs++
 		return nil
 	}
@@ -651,11 +692,16 @@ var ErrReset = fmt.Errorf("tcp: connection reset")
 var ErrTimeout = fmt.Errorf("tcp: connection timed out")
 
 // Send queues and transmits application data, segmenting at MSS.
-// Caller holds the slock. Returns the number of bytes sent.
+// Caller holds the slock. Returns the number of bytes sent: all of
+// data, or 0 when the state allows no sending.
 //
-// The unacked segments keep slices of data, not copies, until the
-// peer ACKs them (retransmission resends the same bytes), so the
-// caller must not reuse or modify data after Send.
+// Completion contract (MSG_ZEROCOPY's): the unacked segments keep
+// slices of data, not copies, until the peer ACKs them (retransmission
+// resends the same bytes), so a caller that got a nonzero return must
+// not reuse or modify data before the socket can no longer transmit
+// from it: once every byte is ACKed, or the socket is CLOSED. The
+// kernel reports that point per buffer (kernel.Process.OnSendDone). A
+// Send that returns 0 kept no reference: the caller still owns data.
 func Send(env Env, t *cpu.Task, sk *Sock, data []byte) int {
 	if sk.State != Established && sk.State != CloseWait {
 		return 0
@@ -818,7 +864,7 @@ func AcceptCookieACK(env Env, t *cpu.Task, listener *Sock, p *netproto.Packet, s
 	if p.Ack-1 != CookieISN(p.Tuple(), listener.Params.CookieSecret) {
 		return nil // forged or not ours
 	}
-	if len(listener.AcceptQueue) >= listener.Params.Backlog {
+	if listener.AcceptLen() >= listener.Params.Backlog {
 		listener.DroppedSegs++ //fsvet:shared cookie validation is deliberately lockless (no listener slock on the defence path)
 		return nil
 	}

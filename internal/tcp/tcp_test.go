@@ -511,11 +511,11 @@ func TestListenBacklogOverflow(t *testing.T) {
 		child := ListenInput(env, w.task, lst, syn, 50, 0)
 		if child != nil {
 			child.State = Established
-			lst.AcceptQueue = append(lst.AcceptQueue, child)
+			lst.PushAccept(child)
 		}
 	}
-	if len(lst.AcceptQueue) != 2 {
-		t.Errorf("accept queue = %d, want 2 (backlog)", len(lst.AcceptQueue))
+	if lst.AcceptLen() != 2 {
+		t.Errorf("accept queue = %d, want 2 (backlog)", lst.AcceptLen())
 	}
 	if lst.DroppedSegs != 1 {
 		t.Errorf("DroppedSegs = %d, want 1", lst.DroppedSegs)
@@ -882,5 +882,51 @@ func TestCookieForgedACKRejected(t *testing.T) {
 	}
 	if AcceptCookieACK(env, w.task, lst, valid, 0) != nil {
 		t.Error("cookie ACK accepted while the defence is off")
+	}
+}
+
+// TestAcceptQueueFIFOKeepsCapacity: pops come out in push order across
+// interleavings, and once the queue has reached its working size a
+// push/pop cycle allocates nothing.
+func TestAcceptQueueFIFOKeepsCapacity(t *testing.T) {
+	lst := NewSock(DefaultParams(), 0)
+	kids := make([]*Sock, 64)
+	for i := range kids {
+		kids[i] = NewSock(DefaultParams(), 0)
+	}
+	next, want := 0, 0
+	push := func(n int) {
+		for ; n > 0; n-- {
+			lst.PushAccept(kids[next%len(kids)])
+			next++
+		}
+	}
+	pop := func(n int) {
+		for ; n > 0; n-- {
+			got := lst.PopAccept()
+			if got != kids[want%len(kids)] {
+				t.Fatalf("pop %d out of order", want)
+			}
+			want++
+		}
+	}
+	for _, step := range [][2]int{{3, 1}, {5, 2}, {1, 6}, {8, 3}, {2, 7}, {4, 4}} {
+		push(step[0])
+		pop(step[1])
+		if lst.AcceptLen() != next-want {
+			t.Fatalf("AcceptLen %d, want %d", lst.AcceptLen(), next-want)
+		}
+	}
+	if lst.PopAccept() != nil {
+		t.Fatal("pop from an empty queue returned a child")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		push(8)
+		pop(3)
+		push(2)
+		pop(7)
+	})
+	if allocs != 0 {
+		t.Errorf("steady push/pop allocates %.1f per cycle", allocs)
 	}
 }

@@ -14,7 +14,7 @@ lint:
 	go vet ./...
 
 # The repo's analyzer, fsvet, in one run over one load of the module:
-# every static pass (determinism, reach, units, lock order and pairing,
+# every static pass (determinism, reach, units, lock order and classes,
 # charge, escape, alloc budget, shard, mailbox, TCP state machine —
 # see DESIGN.md §5), then the runtime cross-checks that hold them to
 # ground truth: the lockdep order graph, allocs/event on the macro and

@@ -1,8 +1,9 @@
 // Package analysis holds the rule-level cases of the determinism,
-// lock-pairing and units checks. They began as the tests of fslint, a
+// lock and units checks. They began as the tests of fslint, a
 // syntactic analyzer that lived here; fsvet (internal/vet) now makes
 // every one of those checks, and each test below runs its case through
-// fsvet under its original name. Each fixture package is laid over the
+// fsvet under its original name (the lock cases were rewritten when
+// Hold and With replaced hand-paired locking). Each fixture package is laid over the
 // module at a synthetic import path, which decides restricted-package
 // status exactly as a real path would. One fsvet run over the module
 // plus every fixture serves all tests.
@@ -338,8 +339,9 @@ func TestDirectiveValidation(t *testing.T) {
 		"fsvet:ignore determinism needs a reason")
 }
 
-// The lock cases take a lock built by lock.New, so that fsvet resolves
-// its class; a lock with no class is itself a finding.
+// The lock cases take a lock through Hold or With, the only ways to
+// take one, so pairing cannot go wrong; what fsvet still checks per
+// call site is that the lock has a class, resolved from lock.New.
 
 var locksBalanced = newCase(fixture{"internal/ktimer/balanced", "fix.go", `package ktimer
 
@@ -350,9 +352,8 @@ var l = lock.New("fixture.balanced", 0)
 func work() {}
 
 func f(c lock.Context) {
-	l.Acquire(c)
-	work()
-	l.Release(c)
+	l.Hold(c, 1)
+	l.With(c, func() { work() })
 }
 `})
 
@@ -360,237 +361,17 @@ func TestLocksBalancedAcquireRelease(t *testing.T) {
 	expect(t, locksBalanced.findings(t))
 }
 
-var locksMissing = newCase(fixture{"internal/ktimer/missing", "fix.go", `package ktimer
-
-import "fastsocket/internal/lock"
-
-var l = lock.New("fixture.missing", 0)
-
-func work() {}
-
-func f(c lock.Context) {
-	l.Acquire(c)
-	work()
-}
-`})
-
-func TestLocksMissingRelease(t *testing.T) {
-	expect(t, locksMissing.findings(t),
-		`fix.go:12: [lockorder] internal/ktimer/missing.f may return while holding "fixture.missing"`)
-}
-
-var locksReturnPath = newCase(fixture{"internal/ktimer/returnpath", "fix.go", `package ktimer
-
-import "fastsocket/internal/lock"
-
-var l = lock.New("fixture.returnpath", 0)
-
-func f(c lock.Context, bad bool) int {
-	l.Acquire(c)
-	if bad {
-		return -1
-	}
-	l.Release(c)
-	return 0
-}
-`})
-
-func TestLocksMissingReleaseOnOneReturnPath(t *testing.T) {
-	expect(t, locksReturnPath.findings(t),
-		`fix.go:10: [lockorder] internal/ktimer/returnpath.f may return while holding "fixture.returnpath" (acquired at internal/ktimer/returnpath/fix.go:8`)
-}
-
-var locksBothBranches = newCase(fixture{"internal/ktimer/bothbranches", "fix.go", `package ktimer
-
-import "fastsocket/internal/lock"
-
-var l = lock.New("fixture.bothbranches", 0)
-
-func f(c lock.Context, bad bool) int {
-	l.Acquire(c)
-	if bad {
-		l.Release(c)
-		return -1
-	}
-	l.Release(c)
-	return 0
-}
-`})
-
-func TestLocksReleaseInBothBranches(t *testing.T) {
-	expect(t, locksBothBranches.findings(t))
-}
-
-var locksDefer = newCase(fixture{"internal/ktimer/deferrelease", "fix.go", `package ktimer
-
-import "fastsocket/internal/lock"
-
-var l = lock.New("fixture.deferrelease", 0)
-
-func f(c lock.Context, bad bool) int {
-	l.Acquire(c)
-	defer l.Release(c)
-	if bad {
-		return -1
-	}
-	return 0
-}
-`})
-
-func TestLocksDeferReleaseCoversAllPaths(t *testing.T) {
-	expect(t, locksDefer.findings(t))
-}
-
-var locksReacquire = newCase(fixture{"internal/ktimer/reacquire", "fix.go", `package ktimer
-
-import "fastsocket/internal/lock"
-
-var l = lock.New("fixture.reacquire", 0)
-
-func f(c lock.Context) {
-	l.Acquire(c)
-	l.Acquire(c)
-	l.Release(c)
-	l.Release(c)
-}
-`})
-
-func TestLocksReacquireWithoutRelease(t *testing.T) {
-	expect(t, locksReacquire.findings(t),
-		`fix.go:9: [lockorder] internal/ktimer/reacquire.f acquires l(c) [fixture.reacquire] again while already holding it (acquired at internal/ktimer/reacquire/fix.go:8`)
-}
-
-var locksLoopCarry = newCase(fixture{"internal/ktimer/loopcarry", "fix.go", `package ktimer
-
-import "fastsocket/internal/lock"
-
-var l = lock.New("fixture.loopcarry", 0)
-
-func work() {}
-
-func f(c lock.Context, n int) {
-	for i := 0; i < n; i++ {
-		l.Acquire(c)
-		work()
-	}
-}
-`})
-
-func TestLocksAcquireInLoopWithoutRelease(t *testing.T) {
-	expect(t, locksLoopCarry.findings(t),
-		`fix.go:11: [lockorder] internal/ktimer/loopcarry.f acquires "fixture.loopcarry" in a loop body and still holds it when the body ends`)
-}
-
-var locksLoopBalanced = newCase(fixture{"internal/ktimer/loopbalanced", "fix.go", `package ktimer
-
-import "fastsocket/internal/lock"
-
-var l = lock.New("fixture.loopbalanced", 0)
-
-func work() {}
-
-func f(c lock.Context, n int) {
-	for i := 0; i < n; i++ {
-		l.Acquire(c)
-		work()
-		l.Release(c)
-	}
-}
-`})
-
-func TestLocksBalancedLoopBodyOK(t *testing.T) {
-	expect(t, locksLoopBalanced.findings(t))
-}
-
-var locksTryAcquire = newCase(fixture{"internal/ktimer/tryacquire", "fix.go", `package ktimer
-
-import "fastsocket/internal/lock"
-
-var l = lock.New("fixture.tryacquire", 0)
-
-func work() {}
-
-func ok1(c lock.Context) {
-	if l.TryAcquire(c) {
-		work()
-		l.Release(c)
-	}
-}
-
-func ok2(c lock.Context) {
-	if !l.TryAcquire(c) {
-		return
-	}
-	work()
-	l.Release(c)
-}
-
-func bad(c lock.Context) {
-	if l.TryAcquire(c) {
-		work()
-	}
-}
-`})
-
-func TestLocksTryAcquireGuards(t *testing.T) {
-	expect(t, locksTryAcquire.findings(t),
-		`fix.go:25: [lockorder] internal/ktimer/tryacquire.bad: "fixture.tryacquire" from this TryAcquire is still held when the guarded branch falls through`)
-}
-
-var locksTwoContexts = newCase(fixture{"internal/ktimer/twocontexts", "fix.go", `package ktimer
-
-import "fastsocket/internal/lock"
-
-var l = lock.New("fixture.twocontexts", 0)
-
-func f(a, b lock.Context) {
-	l.Acquire(a)
-	l.Acquire(b)
-	l.Release(a)
-	l.Release(b)
-}
-`})
-
-func TestLocksDistinctContextsTrackSeparately(t *testing.T) {
-	expect(t, locksTwoContexts.findings(t))
-}
-
-var locksFuncLit = newCase(fixture{"internal/ktimer/funclit", "fix.go", `package ktimer
-
-import "fastsocket/internal/lock"
-
-var l = lock.New("fixture.funclit", 0)
-
-func submit(fn func()) { fn() }
-
-func f(c lock.Context) {
-	submit(func() {
-		l.Acquire(c)
-	})
-}
-`})
-
-func TestLocksFuncLitAnalyzedIndependently(t *testing.T) {
-	// The literal's own end is the leak; f itself stays balanced.
-	expect(t, locksFuncLit.findings(t),
-		`fix.go:12: [lockorder] internal/ktimer/funclit.f may return while holding "fixture.funclit"`)
-}
-
 var locksWaiver = newCase(fixture{"internal/ktimer/lockwaiver", "fix.go", `package ktimer
 
 import "fastsocket/internal/lock"
 
-var l = lock.New("fixture.lockwaiver", 0)
-
-func f(c lock.Context) {
-	l.Acquire(c)
-	//fsvet:ignore lockorder acquires on behalf of the caller
+func f(c lock.Context, l *lock.SpinLock) {
+	//fsvet:ignore lockorder the caller passes a lock built by lock.New
+	l.Hold(c, 1)
 }
 `})
 
 func TestLocksSuppression(t *testing.T) {
-	// fsvet reports a leak where the function ends, so the waiver sits
-	// on the line above the closing brace.
 	expect(t, locksWaiver.findings(t))
 }
 
@@ -598,18 +379,16 @@ var locksUnrestricted = newCase(fixture{"examples/lockdemo", "fix.go", `package 
 
 import "fastsocket/internal/lock"
 
-var l = lock.New("fixture.lockdemo", 0)
-
-func f(c lock.Context) {
-	l.Acquire(c)
+func f(c lock.Context, l *lock.SpinLock) {
+	l.With(c, func() {})
 }
 `})
 
 func TestLocksAppliesToTestFilesAndUnrestrictedPackages(t *testing.T) {
-	// Lock pairing applies to every package fsvet loads, restricted or
-	// not. fsvet loads no _test.go file, so lock pairing in tests is
-	// outside its scope (DESIGN §5.1).
-	expect(t, locksUnrestricted.findings(t), `may return while holding "fixture.lockdemo"`)
+	// Lock checks apply to every package fsvet loads, restricted or
+	// not. fsvet loads no _test.go file, so test files are outside its
+	// scope (DESIGN §5.1); a test cannot pair a lock by hand either.
+	expect(t, locksUnrestricted.findings(t), `fix.go:6: [lockorder] l.With on a lock with no resolved class`)
 }
 
 var unitsBare = newCase(fixture{"internal/kernel/bareliteral", "fix.go", `package kernel

@@ -65,16 +65,8 @@ func TestCoresIndependent(t *testing.T) {
 func TestSpinAccounting(t *testing.T) {
 	l, m := newTestMachine(2)
 	lk := lock.New("l", 0)
-	m.Core(0).Submit(func(tk *Task) {
-		lk.Acquire(tk)
-		tk.Charge(200)
-		lk.Release(tk)
-	})
-	m.Core(1).Submit(func(tk *Task) {
-		lk.Acquire(tk) // spins until 200
-		tk.Charge(10)
-		lk.Release(tk)
-	})
+	m.Core(0).Submit(func(tk *Task) { lk.Hold(tk, 200) })
+	m.Core(1).Submit(func(tk *Task) { lk.Hold(tk, 10) }) // spins until 200
 	l.Run()
 	if spin := m.Core(1).SpinTime(); spin != 200 {
 		t.Errorf("core 1 SpinTime = %v, want 200", spin)

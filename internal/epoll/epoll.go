@@ -149,16 +149,17 @@ func (ep *Instance) Notify(t *cpu.Task, w *Watch, ev Events) {
 	if w == nil || w.dead {
 		return
 	}
-	ep.Lock.Acquire(t)
-	t.Charge(ep.costs.Notify)
-	w.events |= ev
-	if !w.queued {
-		w.queued = true
-		ep.ready = append(ep.ready, w)
-	}
-	wake := ep.sleeping
-	ep.sleeping = false
-	ep.Lock.Release(t)
+	var wake bool
+	ep.Lock.With(t, func() {
+		t.Charge(ep.costs.Notify)
+		w.events |= ev
+		if !w.queued {
+			w.queued = true
+			ep.ready = append(ep.ready, w)
+		}
+		wake = ep.sleeping
+		ep.sleeping = false
+	})
 	ep.stats.Notifies++
 	if wake && ep.waker != nil {
 		ep.waker()
@@ -176,48 +177,49 @@ type Ready struct {
 // fires the waker. The returned slice is the instance's reused result
 // buffer: it stays valid only until the next Wait.
 func (ep *Instance) Wait(t *cpu.Task, max int) []Ready {
-	ep.Lock.Acquire(t)
-	t.Charge(ep.costs.Wait)
-	ep.stats.Waits++
-	// Level-triggered pass: re-report any still-ready level watch that
-	// has no queued edge (its last event was delivered but the
-	// condition — a non-empty accept queue — persists).
-	for _, w := range ep.levels {
-		if w.dead || w.queued {
-			continue
+	var out []Ready
+	ep.Lock.With(t, func() {
+		t.Charge(ep.costs.Wait)
+		ep.stats.Waits++
+		// Level-triggered pass: re-report any still-ready level watch
+		// that has no queued edge (its last event was delivered but the
+		// condition — a non-empty accept queue — persists).
+		for _, w := range ep.levels {
+			if w.dead || w.queued {
+				continue
+			}
+			if ev := w.level(); ev != 0 {
+				w.events |= ev
+				w.queued = true
+				ep.ready = append(ep.ready, w)
+			}
 		}
-		if ev := w.level(); ev != 0 {
-			w.events |= ev
-			w.queued = true
-			ep.ready = append(ep.ready, w)
+		n := len(ep.ready)
+		if max > 0 && n > max {
+			n = max
 		}
-	}
-	n := len(ep.ready)
-	if max > 0 && n > max {
-		n = max
-	}
-	out := ep.out[:0]
-	for i := 0; i < n; i++ {
-		w := ep.ready[i]
-		w.queued = false
-		if w.dead {
-			ep.park(w)
-			continue
+		out = ep.out[:0]
+		for i := 0; i < n; i++ {
+			w := ep.ready[i]
+			w.queued = false
+			if w.dead {
+				ep.park(w)
+				continue
+			}
+			t.Charge(ep.costs.PerEv)
+			out = append(out, Ready{FD: w.fd, Events: w.events})
+			w.events = 0
 		}
-		t.Charge(ep.costs.PerEv)
-		out = append(out, Ready{FD: w.fd, Events: w.events})
-		w.events = 0
-	}
-	// Compact in place so the ready list keeps its capacity.
-	rest := copy(ep.ready, ep.ready[n:])
-	clear(ep.ready[rest:])
-	ep.ready = ep.ready[:rest]
-	ep.out = out
-	if len(out) == 0 && len(ep.ready) == 0 {
-		ep.sleeping = true
-	}
-	ep.stats.Delivered += uint64(len(out))
-	ep.Lock.Release(t)
+		// Compact in place so the ready list keeps its capacity.
+		rest := copy(ep.ready, ep.ready[n:])
+		clear(ep.ready[rest:])
+		ep.ready = ep.ready[:rest]
+		ep.out = out
+		if len(out) == 0 && len(ep.ready) == 0 {
+			ep.sleeping = true
+		}
+		ep.stats.Delivered += uint64(len(out))
+	})
 	if len(out) == 0 {
 		return nil
 	}

@@ -690,11 +690,11 @@ func (k *Kernel) netrx(t *cpu.Task, p *netproto.Packet, steered bool) {
 
 	ft := p.Tuple()
 	if sk := k.tables.LookupEstablished(t, ft); sk != nil {
-		sk.Slock.Acquire(t)
-		k.touch(t, sk)
-		t.Charge(k.inputCost(p))
-		tcp.Input(k, t, sk, p)
-		sk.Slock.Release(t)
+		sk.Slock.With(t, func() {
+			k.touch(t, sk)
+			t.Charge(k.inputCost(p))
+			tcp.Input(k, t, sk, p)
+		})
 		k.pool.Put(p)
 		return
 	}
@@ -713,11 +713,13 @@ func (k *Kernel) netrx(t *cpu.Task, p *netproto.Packet, steered bool) {
 				k.pool.Put(p)
 				return
 			}
-			lsk.Slock.Acquire(t)
-			k.touch(t, lsk)
-			before := lsk.DroppedSegs
-			child := tcp.ListenInput(k, t, lsk, p, k.nextISN(), c.LockBounce)
-			lsk.Slock.Release(t)
+			var child *tcp.Sock
+			var before uint64
+			lsk.Slock.With(t, func() {
+				k.touch(t, lsk)
+				before = lsk.DroppedSegs
+				child = tcp.ListenInput(k, t, lsk, p, k.nextISN(), c.LockBounce)
+			})
 			if child == nil && lsk.DroppedSegs > before {
 				k.stats.ListenDrops++
 			}
@@ -820,10 +822,10 @@ func (k *Kernel) Accepted(t *cpu.Task, child *tcp.Sock) {
 	if parent == nil {
 		return
 	}
-	parent.Slock.Acquire(t)
-	t.Charge(c.AcceptPush)
-	parent.PushAccept(child)
-	parent.Slock.Release(t)
+	parent.Slock.With(t, func() {
+		t.Charge(c.AcceptPush)
+		parent.PushAccept(child)
+	})
 
 	lex := ext(parent).listen
 	if lex == nil {
@@ -954,18 +956,18 @@ func (k *Kernel) rtxFire(ht *cpu.Task, e *sockExt) {
 		e.pendingRtx--
 	}
 	sk := e.sk
-	sk.Slock.Acquire(ht)
-	k.touch(ht, sk)
-	before := sk.Retransmits
-	handshake := sk.State == tcp.SynSent || sk.State == tcp.SynRcvd
-	tcp.RetransmitTimeout(k, ht, sk)
-	// SNMP RetransSegs aggregates the per-socket counters, so the
-	// two accountings agree by construction.
-	k.stats.RetransSegs += sk.Retransmits - before
-	if handshake {
-		k.stats.Retries += sk.Retransmits - before
-	}
-	sk.Slock.Release(ht)
+	sk.Slock.With(ht, func() {
+		k.touch(ht, sk)
+		before := sk.Retransmits
+		handshake := sk.State == tcp.SynSent || sk.State == tcp.SynRcvd
+		tcp.RetransmitTimeout(k, ht, sk)
+		// SNMP RetransSegs aggregates the per-socket counters, so the
+		// two accountings agree by construction.
+		k.stats.RetransSegs += sk.Retransmits - before
+		if handshake {
+			k.stats.Retries += sk.Retransmits - before
+		}
+	})
 	k.putSock(e)
 }
 
@@ -977,9 +979,7 @@ func (k *Kernel) twFire(ht *cpu.Task, e *sockExt) {
 		e.pendingTw--
 	}
 	sk := e.sk
-	sk.Slock.Acquire(ht)
-	tcp.TimeWaitExpire(k, ht, sk)
-	sk.Slock.Release(ht)
+	sk.Slock.With(ht, func() { tcp.TimeWaitExpire(k, ht, sk) })
 	k.putSock(e)
 }
 

@@ -143,9 +143,7 @@ func (k *Kernel) abortBacklog(t *cpu.Task, parent *tcp.Sock, silent, drain bool)
 		}
 		e.appClosed = true // never delivered to an application
 		k.drainSweeping = true
-		sk.Slock.Acquire(t)
-		tcp.Abort(k, t, sk)
-		sk.Slock.Release(t)
+		sk.Slock.With(t, func() { tcp.Abort(k, t, sk) })
 		k.drainSweeping = false
 		if drain {
 			k.stats.AbortedOnDrain++
@@ -227,9 +225,7 @@ func (k *Kernel) hostCrash(t *cpu.Task, ev fault.LifecycleEvent) {
 		}
 		e.appClosed = true // the crashed process's fds are gone
 		sk := e.sk
-		sk.Slock.Acquire(t)
-		tcp.Abort(k, t, sk)
-		sk.Slock.Release(t)
+		sk.Slock.With(t, func() { tcp.Abort(k, t, sk) })
 		k.stats.CrashAborts++
 	}
 	k.dropListeners(t, true, false)
@@ -304,9 +300,7 @@ func (k *Kernel) drainSweep(t *cpu.Task, ev fault.LifecycleEvent) {
 		}
 		sk := e.sk
 		k.lifeRST(t, sk)
-		sk.Slock.Acquire(t)
-		tcp.Abort(k, t, sk)
-		sk.Slock.Release(t)
+		sk.Slock.With(t, func() { tcp.Abort(k, t, sk) })
 		k.stats.AbortedOnDrain++
 	}
 	k.drainSweeping = false
@@ -421,9 +415,7 @@ func (k *Kernel) sweepWorker(t *cpu.Task, p *Process, crash bool) {
 			k.stats.AbortedOnDrain++
 		}
 		k.drainSweeping = true
-		sk.Slock.Acquire(t)
-		tcp.Abort(k, t, sk)
-		sk.Slock.Release(t)
+		sk.Slock.With(t, func() { tcp.Abort(k, t, sk) })
 		k.drainSweeping = false
 	}
 }

@@ -364,36 +364,36 @@ dequeue:
 		t.Charge(c.AtomicCheck)
 		if lex.global.AcceptLen() > 0 {
 			g := lex.global
-			g.Slock.Acquire(t)
-			if g.AcceptLen() > 0 {
-				t.Charge(c.AcceptPopShared)
-				child = g.PopAccept()
-			} else {
-				t.Charge(c.AcceptEmpty)
-			}
-			g.Slock.Release(t)
+			g.Slock.With(t, func() {
+				if g.AcceptLen() > 0 {
+					t.Charge(c.AcceptPopShared)
+					child = g.PopAccept()
+				} else {
+					t.Charge(c.AcceptEmpty)
+				}
+			})
 		}
 		if child == nil && clone.AcceptLen() > 0 {
-			clone.Slock.Acquire(t)
-			if clone.AcceptLen() > 0 {
-				t.Charge(c.AcceptPop)
-				child = clone.PopAccept()
-			} else {
-				t.Charge(c.AcceptEmpty)
-			}
-			clone.Slock.Release(t)
+			clone.Slock.With(t, func() {
+				if clone.AcceptLen() > 0 {
+					t.Charge(c.AcceptPop)
+					child = clone.PopAccept()
+				} else {
+					t.Charge(c.AcceptEmpty)
+				}
+			})
 		}
 	} else {
 		// Stock path: the (possibly shared) listen socket lock.
-		lsk.Slock.Acquire(t)
-		k.touch(t, lsk)
-		if lsk.AcceptLen() > 0 {
-			t.Charge(c.AcceptPopShared)
-			child = lsk.PopAccept()
-		} else {
-			t.Charge(c.AcceptEmpty)
-		}
-		lsk.Slock.Release(t)
+		lsk.Slock.With(t, func() {
+			k.touch(t, lsk)
+			if lsk.AcceptLen() > 0 {
+				t.Charge(c.AcceptPopShared)
+				child = lsk.PopAccept()
+			} else {
+				t.Charge(c.AcceptEmpty)
+			}
+		})
 	}
 
 	if child == nil {
@@ -425,9 +425,7 @@ dequeue:
 		rst.Flags = netproto.RST
 		rst.Seq = child.SndNxt
 		k.rawTransmit(t, rst)
-		child.Slock.Acquire(t)
-		tcp.Abort(k, t, child)
-		child.Slock.Release(t)
+		child.Slock.With(t, func() { tcp.Abort(k, t, child) })
 		return -1, false
 	}
 	k.stats.Accepts++
@@ -467,13 +465,13 @@ func (p *Process) Connect(t *cpu.Task, fd int, raddr netproto.Addr) error {
 	k.usedPorts[e.sk.Local] = true
 	k.stats.Connects++
 
-	e.sk.Slock.Acquire(t)
-	// Linux hashes the socket at connect time so the SYN-ACK can be
-	// demultiplexed.
-	k.InsertEstablished(t, e.sk)
-	k.l3.Background(t, 3)
-	tcp.ConnectStart(k, t, e.sk, k.nextISN())
-	e.sk.Slock.Release(t)
+	e.sk.Slock.With(t, func() {
+		// Linux hashes the socket at connect time so the SYN-ACK can
+		// be demultiplexed.
+		k.InsertEstablished(t, e.sk)
+		k.l3.Background(t, 3)
+		tcp.ConnectStart(k, t, e.sk, k.nextISN())
+	})
 	return nil
 }
 
@@ -519,10 +517,10 @@ func (p *Process) Recv(t *cpu.Task, fd int, max int) (data []byte, eof bool, ok 
 		return nil, false, false
 	}
 	t.Charge(c.Recv)
-	e.sk.Slock.Acquire(t)
-	k.touch(t, e.sk)
-	data, eof = tcp.Recv(e.sk, max)
-	e.sk.Slock.Release(t)
+	e.sk.Slock.With(t, func() {
+		k.touch(t, e.sk)
+		data, eof = tcp.Recv(e.sk, max)
+	})
 	k.rfsRecord(t, e.sk)
 	t.Charge(c.RecvPerByte * sim.Time(len(data)))
 	return data, eof, true
@@ -544,10 +542,11 @@ func (p *Process) Send(t *cpu.Task, fd int, data []byte) int {
 		return 0
 	}
 	t.Charge(c.Send + c.SendPerByte*sim.Time(len(data)))
-	e.sk.Slock.Acquire(t)
-	k.touch(t, e.sk)
-	n := tcp.Send(k, t, e.sk, data)
-	e.sk.Slock.Release(t)
+	var n int
+	e.sk.Slock.With(t, func() {
+		k.touch(t, e.sk)
+		n = tcp.Send(k, t, e.sk, data)
+	})
 	if n > 0 && p.OnSendDone != nil {
 		e.sent = append(e.sent, data)
 	}
@@ -583,10 +582,10 @@ func (p *Process) CloseFD(t *cpu.Task, fd int) {
 		return
 	}
 	k.vfsl.FreeSocketFile(t, e.file)
-	sk.Slock.Acquire(t)
-	k.touch(t, sk)
-	tcp.Close(k, t, sk)
-	sk.Slock.Release(t)
+	sk.Slock.With(t, func() {
+		k.touch(t, sk)
+		tcp.Close(k, t, sk)
+	})
 	// If the TCB was already destroyed (RST, or TIME_WAIT expired
 	// before the app got around to close()), this is the free point.
 	k.putSock(e)

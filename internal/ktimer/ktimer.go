@@ -111,9 +111,7 @@ func (w *Wheel) get() *Timer {
 	tm.expireFn = func(ht *cpu.Task) {
 		// Expiry re-takes base.lock to dequeue.
 		wh := tm.wheel
-		wh.Lock.Acquire(ht)
-		ht.Charge(wh.costs.Expire)
-		wh.Lock.Release(ht)
+		wh.Lock.Hold(ht, wh.costs.Expire)
 		wh.stats.Fired++
 		fn := tm.fn
 		wh.put(tm)
@@ -137,9 +135,7 @@ func (w *Wheel) put(tm *Timer) {
 // context pays the base.lock costs (contending if the wheel belongs
 // to another core).
 func (w *Wheel) Arm(t *cpu.Task, d sim.Time, fn func(*cpu.Task)) *Timer {
-	w.Lock.Acquire(t)
-	t.Charge(w.costs.Arm)
-	w.Lock.Release(t)
+	w.Lock.Hold(t, w.costs.Arm)
 	w.stats.Armed++
 	tm := w.get()
 	tm.fn = fn
@@ -154,9 +150,7 @@ func (tm *Timer) Cancel(t *cpu.Task) {
 		return
 	}
 	w := tm.wheel
-	w.Lock.Acquire(t)
-	t.Charge(w.costs.Cancel)
-	w.Lock.Release(t)
+	w.Lock.Hold(t, w.costs.Cancel)
 	w.stats.Cancelled++
 	tm.ev.Cancel()
 	w.put(tm)

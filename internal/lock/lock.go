@@ -124,9 +124,6 @@ func (l *SpinLock) Name() string { return l.name }
 // Stats returns a snapshot of the lockstat counters.
 func (l *SpinLock) Stats() Stats { return l.stats }
 
-// ResetStats zeroes the lockstat counters.
-func (l *SpinLock) ResetStats() { l.stats = Stats{} }
-
 // Reset restores the lock to its freshly constructed state (empty
 // timeline, no recency, zero counters), keeping name and penalty.
 // Used when the struct the lock protects is recycled through a free
@@ -236,10 +233,10 @@ func (l *SpinLock) insert(start, end sim.Time) {
 	tl[first] = interval{start, end}
 }
 
-// Acquire takes the lock in context c, spinning (in simulated time)
+// acquire takes the lock in context c, spinning (in simulated time)
 // until the timeline has a free slot. Panics on recursive acquisition
 // by the same context.
-func (l *SpinLock) Acquire(c Context) {
+func (l *SpinLock) acquire(c Context) {
 	lockdepAcquire(l, c)
 	for _, h := range l.holds {
 		if h.c == c {
@@ -314,10 +311,10 @@ func (l *SpinLock) noteAcquire(core int, at sim.Time) {
 	l.recent1.at = at
 }
 
-// Release drops the lock. The release time is the context's current
+// release drops the lock. The release time is the context's current
 // virtual time, so the effective hold duration is whatever the holder
-// charged between Acquire and Release.
-func (l *SpinLock) Release(c Context) {
+// charged between acquire and release.
+func (l *SpinLock) release(c Context) {
 	lockdepRelease(l, c)
 	idx := -1
 	for i, h := range l.holds {
@@ -342,22 +339,24 @@ func (l *SpinLock) Release(c Context) {
 	l.insert(h.at, now)
 }
 
-// With runs fn while holding the lock.
-func (l *SpinLock) With(c Context, fn func()) {
-	l.Acquire(c)
-	fn()
-	l.Release(c)
+// Hold takes the lock in context c, charges d of work under it and
+// releases it: the critical section of a site whose only work under
+// the lock is its cost.
+func (l *SpinLock) Hold(c Context, d sim.Time) {
+	l.acquire(c)
+	c.Charge(d)
+	l.release(c)
 }
 
-// TryAcquire takes the lock only if the acquisition would not spin,
-// returning whether it succeeded. Used for trylock kernel paths.
-func (l *SpinLock) TryAcquire(c Context) bool {
-	if l.slotAt(c.Now()) > c.Now() {
-		return false
-	}
-	// Acquires on behalf of the caller, who must Release.
-	l.Acquire(c)
-	return true
+// With runs fn while holding the lock in context c. Hold and With are
+// the only ways to take a lock, so every acquisition is released by
+// the call that made it. fn is a function literal written at the call
+// site; results leave it through captured locals. With does not keep
+// fn, so the compiler leaves such a literal on the caller's stack.
+func (l *SpinLock) With(c Context, fn func()) {
+	l.acquire(c)
+	fn()
+	l.release(c)
 }
 
 // Sharded is a set of spinlocks indexed by hash, modelling the
@@ -403,11 +402,4 @@ func (s *Sharded) Stats() Stats {
 		sum.Bounces += st.Bounces
 	}
 	return sum
-}
-
-// ResetStats zeroes every shard's counters.
-func (s *Sharded) ResetStats() {
-	for _, l := range s.shards {
-		l.ResetStats()
-	}
 }

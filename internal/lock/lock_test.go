@@ -24,9 +24,9 @@ func (f *fakeCtx) CoreID() int       { return f.core }
 func TestUncontendedAcquire(t *testing.T) {
 	l := New("test", 0)
 	c := &fakeCtx{now: 100, core: 0}
-	l.Acquire(c)
+	l.acquire(c)
 	c.Charge(50)
-	l.Release(c)
+	l.release(c)
 	st := l.Stats()
 	if st.Acquisitions != 1 || st.Contended != 0 {
 		t.Errorf("stats = %+v, want 1 acquisition, 0 contended", st)
@@ -42,12 +42,12 @@ func TestUncontendedAcquire(t *testing.T) {
 func TestContendedAcquireSpins(t *testing.T) {
 	l := New("test", 0)
 	a := &fakeCtx{now: 100, core: 0}
-	l.Acquire(a)
+	l.acquire(a)
 	a.Charge(200)
-	l.Release(a) // lock free at 300
+	l.release(a) // lock free at 300
 
 	b := &fakeCtx{now: 150, core: 1}
-	l.Acquire(b)
+	l.acquire(b)
 	if b.now != 300 {
 		t.Errorf("contender resumed at %v, want 300", b.now)
 	}
@@ -61,30 +61,30 @@ func TestContendedAcquireSpins(t *testing.T) {
 	if st.WaitTime != 150 {
 		t.Errorf("WaitTime = %v, want 150", st.WaitTime)
 	}
-	l.Release(b)
+	l.release(b)
 }
 
 func TestBouncePenaltyChargedCrossCore(t *testing.T) {
 	l := New("test", 40)
 	a := &fakeCtx{now: 0, core: 0}
-	l.Acquire(a)
-	l.Release(a)
+	l.acquire(a)
+	l.release(a)
 
 	// Same core again: no bounce.
 	a2 := &fakeCtx{now: 10, core: 0}
-	l.Acquire(a2)
+	l.acquire(a2)
 	if a2.now != 10 {
 		t.Errorf("same-core reacquire charged %v", a2.now-10)
 	}
-	l.Release(a2)
+	l.release(a2)
 
 	// Different core: bounce penalty charged while holding.
 	b := &fakeCtx{now: 20, core: 1}
-	l.Acquire(b)
+	l.acquire(b)
 	if b.now != 60 {
 		t.Errorf("cross-core acquire time = %v, want 60 (20+40)", b.now)
 	}
-	l.Release(b)
+	l.release(b)
 	if got := l.Stats().Bounces; got != 1 {
 		t.Errorf("Bounces = %d, want 1", got)
 	}
@@ -94,52 +94,28 @@ func TestRecursiveAcquirePanics(t *testing.T) {
 	l := New("test", 0)
 	c := &fakeCtx{}
 	// Intentional unreleased acquire; the test ends in a panic.
-	l.Acquire(c)
+	l.acquire(c)
 	defer func() {
 		if recover() == nil {
 			t.Error("recursive acquire did not panic")
 		}
 	}()
 	// Deliberate recursive acquire to assert the panic.
-	l.Acquire(c)
+	l.acquire(c)
 }
 
 func TestReleaseByNonHolderPanics(t *testing.T) {
 	l := New("test", 0)
 	a := &fakeCtx{core: 0}
 	b := &fakeCtx{core: 1}
-	// Intentionally left held; the mismatched Release panics.
-	l.Acquire(a)
+	// Intentionally left held; the mismatched release panics.
+	l.acquire(a)
 	defer func() {
 		if recover() == nil {
 			t.Error("release by non-holder did not panic")
 		}
 	}()
-	l.Release(b)
-}
-
-func TestTryAcquire(t *testing.T) {
-	l := New("test", 0)
-	a := &fakeCtx{now: 0, core: 0}
-	l.Acquire(a)
-	a.Charge(100)
-	l.Release(a)
-
-	// Before freeAt: fails without spinning.
-	b := &fakeCtx{now: 50, core: 1}
-	// Success is the failure case here and fails the test.
-	if l.TryAcquire(b) {
-		t.Error("TryAcquire succeeded while lock held")
-	}
-	if b.now != 50 {
-		t.Errorf("failed TryAcquire advanced time to %v", b.now)
-	}
-	// After freeAt: succeeds.
-	c := &fakeCtx{now: 150, core: 1}
-	if !l.TryAcquire(c) {
-		t.Error("TryAcquire failed on free lock")
-	}
-	l.Release(c)
+	l.release(b)
 }
 
 func TestWith(t *testing.T) {
@@ -158,6 +134,45 @@ func TestWith(t *testing.T) {
 	}
 }
 
+func TestHold(t *testing.T) {
+	l := New("test", 0)
+	a := &fakeCtx{now: 100, core: 0}
+	l.Hold(a, 50)
+	if a.now != 150 || l.Stats().HoldTime != 50 {
+		t.Errorf("holder at %v with HoldTime %v, want 150 and 50", a.now, l.Stats().HoldTime)
+	}
+	// A contender inside the hold spins to its end, then pays its own d.
+	b := &fakeCtx{now: 120, core: 1}
+	l.Hold(b, 10)
+	if b.spin != 30 || b.now != 160 {
+		t.Errorf("contender spun %v and ended at %v, want 30 and 160", b.spin, b.now)
+	}
+}
+
+func TestWithAndHoldAllocateNothing(t *testing.T) {
+	// fsvet's alloc pass reads a With body as code of the function
+	// that contains it, with no closure site of its own. That holds
+	// only while With keeps no reference to fn, so the compiler can
+	// leave a capturing literal on the caller's stack.
+	l := New("test", 0)
+	c := &fakeCtx{}
+	n := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		c.now += PruneHorizon // keep the timeline short
+		l.With(c, func() {
+			n++
+			c.Charge(1)
+		})
+		l.Hold(c, 1)
+	})
+	if allocs != 0 {
+		t.Errorf("With and Hold allocate %.1f times per call pair, want 0", allocs)
+	}
+	if n == 0 {
+		t.Fatal("With did not run its body")
+	}
+}
+
 func TestStatsSubAndReset(t *testing.T) {
 	l := New("test", 0)
 	c := &fakeCtx{}
@@ -168,9 +183,9 @@ func TestStatsSubAndReset(t *testing.T) {
 	if d.Acquisitions != 1 || d.HoldTime != 7 {
 		t.Errorf("delta = %+v, want 1 acquisition / 7 hold", d)
 	}
-	l.ResetStats()
+	l.Reset()
 	if l.Stats() != (Stats{}) {
-		t.Errorf("ResetStats left %+v", l.Stats())
+		t.Errorf("Reset left %+v", l.Stats())
 	}
 }
 
@@ -188,15 +203,11 @@ func TestShardedDistributesContention(t *testing.T) {
 	c := &fakeCtx{}
 	for k := uint64(0); k < 8; k++ {
 		l := s.Shard(k)
-		l.Acquire(c)
-		l.Release(c)
+		l.acquire(c)
+		l.release(c)
 	}
 	if got := s.Stats().Acquisitions; got != 8 {
 		t.Errorf("aggregate Acquisitions = %d, want 8", got)
-	}
-	s.ResetStats()
-	if s.Stats().Acquisitions != 0 {
-		t.Error("ResetStats did not clear shard counters")
 	}
 }
 
@@ -218,9 +229,9 @@ func TestSerializationBound(t *testing.T) {
 	var last sim.Time
 	for i := 0; i < n; i++ {
 		c := &fakeCtx{now: 0, core: i}
-		l.Acquire(c)
+		l.acquire(c)
 		c.Charge(hold)
-		l.Release(c)
+		l.release(c)
 		last = c.now
 	}
 	if last < n*hold {
@@ -250,9 +261,9 @@ func TestTimelineIntervalsDisjointProperty(t *testing.T) {
 				}
 			}
 			c := &fakeCtx{now: at, core: i % 8}
-			l.Acquire(c)
+			l.acquire(c)
 			c.Charge(hold)
-			l.Release(c)
+			l.release(c)
 			tl := l.intervals[l.head:]
 			for j := 1; j < len(tl); j++ {
 				if prev, cur := tl[j-1], tl[j]; cur.start <= prev.end {
@@ -428,25 +439,25 @@ func TestEarlyAcquirerUsesGap(t *testing.T) {
 	// event-order fairness rule.
 	l := New("gap", 0)
 	late := &fakeCtx{now: 1000, core: 0}
-	l.Acquire(late)
+	l.acquire(late)
 	late.Charge(100)
-	l.Release(late) // busy [1000, 1100]
+	l.release(late) // busy [1000, 1100]
 
 	early := &fakeCtx{now: 200, core: 1}
-	l.Acquire(early)
+	l.acquire(early)
 	if early.spin != 0 {
 		t.Errorf("early acquirer spun %v against a future reservation", early.spin)
 	}
 	early.Charge(50)
-	l.Release(early) // busy [200, 250] + [1000, 1100]
+	l.release(early) // busy [200, 250] + [1000, 1100]
 
 	// A third acquirer inside the early hold's window must wait.
 	mid := &fakeCtx{now: 220, core: 2}
-	l.Acquire(mid)
+	l.acquire(mid)
 	if mid.now != 250 {
 		t.Errorf("mid acquirer resumed at %v, want 250", mid.now)
 	}
-	l.Release(mid)
+	l.release(mid)
 }
 
 func TestSaturatedLockSerializes(t *testing.T) {
@@ -459,9 +470,9 @@ func TestSaturatedLockSerializes(t *testing.T) {
 	// over a 100ns window.
 	for i := 0; i < 64; i++ {
 		c := &fakeCtx{now: sim.Time(i), core: i % 8}
-		l.Acquire(c)
+		l.acquire(c)
 		c.Charge(hold)
-		l.Release(c)
+		l.release(c)
 		if c.now > maxEnd {
 			maxEnd = c.now
 		}

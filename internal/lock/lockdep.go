@@ -11,9 +11,10 @@ import (
 // Runtime lockdep: a dynamic complement to the static checks in
 // internal/vet (fsvet).
 //
-// The static analyzer pairs Acquire/Release at the type level; lockdep
-// watches the lock model at run time and records the discipline
-// violations only execution can see:
+// Hold and With pair every acquisition with its release, and the
+// static analyzer reads lock nesting from With bodies; lockdep watches
+// the lock model at run time and records the discipline violations
+// only execution can see:
 //
 //   - double acquisition of the same lock by the same context,
 //   - release of a lock the context does not hold,
@@ -166,7 +167,7 @@ func acquireSite() string {
 	return "?"
 }
 
-// lockdepAcquire runs at the top of Acquire, before the model's own
+// lockdepAcquire runs at the top of acquire, before the model's own
 // recursive-acquisition panic, so the report survives a recover().
 func lockdepAcquire(l *SpinLock, c Context) {
 	if !lockdep.enabled {
@@ -200,7 +201,7 @@ func lockdepAcquire(l *SpinLock, c Context) {
 	lockdep.held[c] = append(held, l)
 }
 
-// lockdepRelease runs at the top of Release, before the non-holder
+// lockdepRelease runs at the top of release, before the non-holder
 // panic.
 func lockdepRelease(l *SpinLock, c Context) {
 	if !lockdep.enabled {

@@ -26,16 +26,16 @@ func TestLockdepCleanRun(t *testing.T) {
 	a := New("a", 0)
 	b := New("b", 0)
 	c := &fakeCtx{}
-	a.Acquire(c)
-	b.Acquire(c)
-	b.Release(c)
-	a.Release(c)
+	a.acquire(c)
+	b.acquire(c)
+	b.release(c)
+	a.release(c)
 	// Same order again, different context: still consistent.
 	c2 := &fakeCtx{now: 500, core: 1}
-	a.Acquire(c2)
-	b.Acquire(c2)
-	b.Release(c2)
-	a.Release(c2)
+	a.acquire(c2)
+	b.acquire(c2)
+	b.release(c2)
+	a.release(c2)
 	expectViolation(t) // none
 	if len(lockdep.held) != 0 {
 		t.Errorf("held map not drained: %d contexts", len(lockdep.held))
@@ -47,7 +47,7 @@ func TestLockdepCatchesDoubleAcquire(t *testing.T) {
 	defer DisableLockdep()
 	l := New("dbl", 0)
 	c := &fakeCtx{}
-	l.Acquire(c)
+	l.acquire(c)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -57,7 +57,7 @@ func TestLockdepCatchesDoubleAcquire(t *testing.T) {
 		// The model panics on recursive acquisition, but lockdep must
 		// have recorded the violation first.
 		// Intentional double acquire to exercise lockdep.
-		l.Acquire(c)
+		l.acquire(c)
 	}()
 	expectViolation(t, "double acquire of dbl")
 }
@@ -73,7 +73,7 @@ func TestLockdepCatchesReleaseWhileUnheld(t *testing.T) {
 				t.Error("release by non-holder did not panic")
 			}
 		}()
-		l.Release(c)
+		l.release(c)
 	}()
 	expectViolation(t, "release of unheld while not held")
 }
@@ -85,16 +85,16 @@ func TestLockdepCatchesOrderInversion(t *testing.T) {
 	b := New("ehash", 0)
 
 	c1 := &fakeCtx{core: 0}
-	a.Acquire(c1)
-	b.Acquire(c1) // establishes icsk -> ehash
-	b.Release(c1)
-	a.Release(c1)
+	a.acquire(c1)
+	b.acquire(c1) // establishes icsk -> ehash
+	b.release(c1)
+	a.release(c1)
 
 	c2 := &fakeCtx{now: 1000, core: 1}
-	b.Acquire(c2)
-	a.Acquire(c2) // ehash -> icsk: inversion
-	a.Release(c2)
-	b.Release(c2)
+	b.acquire(c2)
+	a.acquire(c2) // ehash -> icsk: inversion
+	a.release(c2)
+	b.release(c2)
 
 	expectViolation(t, "lock order inversion: ehash -> icsk")
 }
@@ -108,15 +108,15 @@ func TestLockdepShardsShareAClass(t *testing.T) {
 	s := NewSharded("ehash", 4, 0)
 	c := &fakeCtx{}
 	l0, l1 := s.Shard(0), s.Shard(1)
-	l0.Acquire(c)
-	l1.Acquire(c)
-	l1.Release(c)
-	l0.Release(c)
+	l0.acquire(c)
+	l1.acquire(c)
+	l1.release(c)
+	l0.release(c)
 	c2 := &fakeCtx{now: 2000, core: 1}
-	l1.Acquire(c2)
-	l0.Acquire(c2)
-	l0.Release(c2)
-	l1.Release(c2)
+	l1.acquire(c2)
+	l0.acquire(c2)
+	l0.release(c2)
+	l1.release(c2)
 	expectViolation(t) // none
 }
 
@@ -127,12 +127,12 @@ func TestLockdepObservedGraph(t *testing.T) {
 	b := New("b", 0)
 	c := New("c", 0)
 	ctx := &fakeCtx{}
-	a.Acquire(ctx)
-	b.Acquire(ctx) // a -> b
-	c.Acquire(ctx) // a -> c, b -> c
-	c.Release(ctx)
-	b.Release(ctx)
-	a.Release(ctx)
+	a.acquire(ctx)
+	b.acquire(ctx) // a -> b
+	c.acquire(ctx) // a -> c, b -> c
+	c.release(ctx)
+	b.release(ctx)
+	a.release(ctx)
 
 	edges := Lockdep().Edges()
 	var got []string
@@ -168,8 +168,8 @@ func TestLockdepDisabledIsFree(t *testing.T) {
 	DisableLockdep()
 	l := New("off", 0)
 	c := &fakeCtx{}
-	l.Acquire(c)
-	l.Release(c)
+	l.acquire(c)
+	l.release(c)
 	if got := LockdepViolations(); len(got) != 0 {
 		t.Errorf("disabled lockdep recorded %q", got)
 	}

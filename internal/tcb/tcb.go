@@ -94,11 +94,15 @@ func (e *EstablishedTable) bucket(ft netproto.FourTuple) (uint64, **tcp.Sock) {
 func (e *EstablishedTable) Insert(t *cpu.Task, sk *tcp.Sock) {
 	t.Charge(e.costs.Hash)
 	h, b := e.bucket(sk.Tuple())
-	var l *lock.SpinLock
-	if e.locks != nil {
-		l = e.locks.Shard(h)
-		l.Acquire(t)
+	if e.locks == nil {
+		e.link(t, b, sk) //fsvet:shared local table: RFD keeps every flow of a per-core table on its own core
+		return
 	}
+	e.locks.Shard(h).With(t, func() { e.link(t, b, sk) })
+}
+
+// link appends sk to the chain headed at b.
+func (e *EstablishedTable) link(t *cpu.Task, b **tcp.Sock, sk *tcp.Sock) {
 	t.Charge(e.costs.Link)
 	link := b
 	for *link != nil {
@@ -111,21 +115,23 @@ func (e *EstablishedTable) Insert(t *cpu.Task, sk *tcp.Sock) {
 	*link = sk
 	e.count++
 	e.stats.Inserts++
-	if l != nil {
-		l.Release(t)
-	}
 }
 
 // Remove unlinks sk, reporting whether it was present.
 func (e *EstablishedTable) Remove(t *cpu.Task, sk *tcp.Sock) bool {
 	t.Charge(e.costs.Hash)
 	h, b := e.bucket(sk.Tuple())
-	var l *lock.SpinLock
-	if e.locks != nil {
-		l = e.locks.Shard(h)
-		l.Acquire(t)
+	if e.locks == nil {
+		return e.unlink(t, b, sk) //fsvet:shared local table: RFD keeps every flow of a per-core table on its own core
 	}
 	removed := false
+	e.locks.Shard(h).With(t, func() { removed = e.unlink(t, b, sk) })
+	return removed
+}
+
+// unlink removes sk from the chain headed at b, reporting whether it
+// was present.
+func (e *EstablishedTable) unlink(t *cpu.Task, b **tcp.Sock, sk *tcp.Sock) bool {
 	for link := b; *link != nil; link = &(*link).EhashNext {
 		t.Charge(e.costs.Compare)
 		if *link == sk {
@@ -134,14 +140,10 @@ func (e *EstablishedTable) Remove(t *cpu.Task, sk *tcp.Sock) bool {
 			sk.EhashNext = nil
 			e.count--
 			e.stats.Removes++
-			removed = true
-			break
+			return true
 		}
 	}
-	if l != nil {
-		l.Release(t)
-	}
-	return removed
+	return false
 }
 
 // Lookup finds the socket for an incoming packet's tuple. Reads are

@@ -27,7 +27,10 @@ import (
 //   - variadic:  calls that materialize a variadic backing slice
 //   - string:    string<->[]byte conversions and string concatenation
 //   - closure:   function literals (the closure header allocates; the
-//     pooled code base hoists hot-path closures to init time)
+//     pooled code base hoists hot-path closures to init time). A lock
+//     With body is not a site: With does not keep it, so the compiler
+//     leaves it on the caller's stack, and its interior is scanned as
+//     code of the function that contains it
 //
 // The committed budget (.fsvet-allocbudget.json) records, per
 // function, exactly how many sites are allowed and of which kinds —
@@ -240,7 +243,8 @@ func kindsEqual(a, b []string) bool {
 // body, in source order. Function-literal interiors are not descended
 // into: the literal itself is the site (its header allocates when it
 // captures), and literals handed to deferred executors run outside
-// this function's budget anyway.
+// this function's budget anyway. A With body is the exception: it runs
+// within the call, on the stack, so its interior is this function's.
 func (v *vetter) allocSites(fd *ast.FuncDecl) []allocSite {
 	info := v.prog.Info
 	var sites []allocSite
@@ -250,10 +254,14 @@ func (v *vetter) allocSites(fd *ast.FuncDecl) []allocSite {
 	// &T{...} composites are recorded at the UnaryExpr; mark the inner
 	// literal handled so the CompositeLit case does not re-count it.
 	handled := map[*ast.CompositeLit]bool{}
+	withBodies := map[*ast.FuncLit]bool{}
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
+			if withBodies[n] {
+				return true
+			}
 			add(n.Pos(), "closure")
 			return false
 		case *ast.UnaryExpr:
@@ -307,6 +315,9 @@ func (v *vetter) allocSites(fd *ast.FuncDecl) []allocSite {
 				}
 			}
 		case *ast.CallExpr:
+			if lit := withBody(info, n); lit != nil {
+				withBodies[lit] = true
+			}
 			v.classifyCall(n, add)
 		}
 		return true

@@ -214,12 +214,12 @@ func qualifiedName(fn *types.Func) string {
 	return name
 }
 
-// fullName is the types.Func full name, the key the lock walker uses
+// fullName is the types.Func full name, the key the lock scan uses
 // to recognize the lock and scheduler APIs.
 func fullName(fn *types.Func) string { return fn.FullName() }
 
 // deferredExecutors are the APIs whose function-literal argument runs
-// later, from the event loop, with no locks held: the lock walker
+// later, from the event loop, with no locks held: the lock scan
 // analyzes such literals with an empty held set, and their
 // acquisitions do not count toward the enclosing function's summary.
 // The map value is the parameter index of the callback.
@@ -237,9 +237,7 @@ var deferredExecutors = map[string]int{
 
 // lock API full names.
 var (
-	lockAcquire    = "(*" + ModPath + "/internal/lock.SpinLock).Acquire"
-	lockTryAcquire = "(*" + ModPath + "/internal/lock.SpinLock).TryAcquire"
-	lockRelease    = "(*" + ModPath + "/internal/lock.SpinLock).Release"
+	lockHold       = "(*" + ModPath + "/internal/lock.SpinLock).Hold"
 	lockWith       = "(*" + ModPath + "/internal/lock.SpinLock).With"
 	lockShard      = "(*" + ModPath + "/internal/lock.Sharded).Shard"
 	lockNew        = ModPath + "/internal/lock.New"

@@ -3,9 +3,9 @@ package vet
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // The lockorder pass builds a static lock-order graph for the
@@ -13,7 +13,9 @@ import (
 // / lock.NewSharded — "slock", "ehash.lock", ...) can be acquired
 // while which others are held, across function and package boundaries.
 //
-// Three layers:
+// A lock is held only for the span of one call: Hold (acquire, charge,
+// release) or With (acquire, run a function literal, release). Pairing
+// therefore needs no checking, and nesting is lexical. Three layers:
 //
 //  1. Class resolution: a fixpoint dataflow over the whole module maps
 //     every object of lock type (struct fields, parameters, results,
@@ -23,30 +25,26 @@ import (
 //     tcb.EstablishedTable.locks through NewEstablished's parameter
 //     resolves to "ehash.lock" inside tcb.
 //  2. Transitive acquire summaries: TA(f) is every class f may acquire
-//     while it executes — its own Acquire/TryAcquire/With sites plus
-//     its callees' TA, through interface calls devirtualized against
-//     the module (tcp.Env -> *kernel.Kernel). Function literals handed
-//     to the deferred-execution APIs (sim.Loop.At/After, cpu
-//     Defer/Submit/SubmitSoftIRQ, ktimer Wheel.Arm) run later from the
-//     event loop with nothing held: they are excluded from TA and
-//     analyzed separately with an empty held set, exactly matching the
-//     runtime lockdep's view.
-//  3. A held-set walk of every function (and every deferred literal):
-//     sequential statement traversal tracking held classes through
-//     Acquire/Release/With and branch merges; each acquisition or
-//     summarized call emits (held x acquired) edges. The same walk
-//     checks lock pairing: a path that can return (or a function
-//     literal that can finish) while still holding a lock acquired
-//     locally (no Release, no defer, not With-scoped); a lock taken
-//     again while held, keyed by class plus receiver and context
-//     expression so l.Acquire(a); l.Acquire(b) stays legal; a lock
-//     acquired in a loop body and still held when the body ends; and a
-//     successful TryAcquire guard whose branch falls through holding
-//     the lock.
+//     while it executes — its own Hold/With sites plus its callees'
+//     TA, through interface calls devirtualized against the module
+//     (tcp.Env -> *kernel.Kernel). Function literals handed to the
+//     deferred-execution APIs (sim.Loop.At/After, cpu Defer/Submit/
+//     SubmitSoftIRQ, ktimer Wheel.Arm) run later from the event loop
+//     with nothing held: they are excluded from TA and scanned
+//     separately with an empty held set, exactly matching the runtime
+//     lockdep's view.
+//  3. A nesting scan of every function (and every deferred literal):
+//     the held set at a site is the classes of the With receivers
+//     whose bodies enclose it. Each Hold, With or summarized call emits
+//     (held x acquired) edges. Any other function literal is assumed
+//     to run where it is written, under the enclosing held set.
 //
-// A lock API call whose receiver resolves to no class would escape
-// every check above, so it is a finding in itself: locks come from
-// lock.New / lock.NewSharded.
+// Two shapes would escape every check above, so each is a finding in
+// itself: a lock API call whose receiver resolves to no class (locks
+// come from lock.New / lock.NewSharded), and a With body that is not a
+// function literal at the call site (the scan could not see what runs
+// under the lock). Re-acquiring a held lock is left to run time: the
+// model panics and lockdep records it.
 //
 // Inversions are strongly-connected components of the class graph:
 // any cycle means two call chains disagree about ordering. Same-class
@@ -55,7 +53,7 @@ import (
 // model, not a user of it.
 
 // StaticEdge is one edge of the static order graph: Inner may be
-// acquired while Outer is held. Sites name the functions whose walk
+// acquired while Outer is held. Sites name the functions whose scan
 // produced the edge.
 type StaticEdge struct {
 	Outer string   `json:"outer"`
@@ -97,22 +95,22 @@ type lockAnalysis struct {
 	// edges: ordered class pair -> set of sites.
 	edges map[[2]string]map[string]bool
 	// deferredLits are literals that run later with nothing held, with
-	// the function they appear in (for walk context).
+	// the function they appear in (for scan context).
 	deferredLits []deferredLit
 	// Entry contexts recorded for the shard pass: for every function
-	// called from a hot-path function, the callers and whether each
-	// call site holds a lock locally. runsLocked() closes this over
-	// the graph — a callee is protected when every hot entry either
-	// holds a lock at the site or comes from a caller that is itself
-	// always entered locked (the Slock convention: netrx acquires,
-	// tcp.Input and everything below it inherit).
+	// called from a hot-path function, the callers and whether a With
+	// body encloses each call site. runsLocked() closes this over the
+	// graph — a callee is protected when every hot entry either holds
+	// a lock at the site or comes from a caller that is itself always
+	// entered locked (the Slock convention: netrx calls tcp.Input from
+	// a With body, and everything below it inherits).
 	hot        map[*types.Func]bool
 	entryEdges map[*types.Func][]entryEdge
 }
 
 type entryEdge struct {
 	caller *types.Func
-	held   bool // a lock class is held locally at the call site
+	held   bool // a With body encloses the call site
 }
 
 type deferredLit struct {
@@ -133,32 +131,32 @@ func (v *vetter) checkLocks(cg *callGraph, hot map[*types.Func]bool) (*lockAnaly
 		entryEdges: map[*types.Func][]entryEdge{},
 	}
 	la.resolveClasses()
-	la.reportUnclassed()
+	la.reportUncheckable()
 	la.computeSummaries()
 	for _, fn := range cg.funcs {
 		if la.skipFunc(fn) {
 			continue
 		}
-		la.walkFunc(fn)
+		la.newScan(fn).scan(la.cg.decls[fn].Body, nil)
 	}
 	// Deferred literals queue more as they are discovered.
 	for i := 0; i < len(la.deferredLits); i++ {
 		d := la.deferredLits[i]
-		w := &lockWalker{la: la, fn: d.in, localLits: map[types.Object]*ast.FuncLit{}}
-		w.walkLit(d.lit, nil)
+		la.newScan(d.in).scan(d.lit.Body, nil)
 	}
 	la.reportInversions()
 	return la, la.sortedEdges()
 }
 
-// skipFunc excludes internal/lock (the model itself) from the walk.
+// skipFunc excludes internal/lock (the model itself) from the scan.
 func (la *lockAnalysis) skipFunc(fn *types.Func) bool {
 	return PkgDir(la.cg.pkgOf[fn]) == "internal/lock"
 }
 
-// reportUnclassed flags every lock API call outside internal/lock whose
-// receiver carries no resolved class.
-func (la *lockAnalysis) reportUnclassed() {
+// reportUncheckable flags every lock API call outside internal/lock
+// whose receiver carries no resolved class, and every With whose body
+// is not a function literal at the call site.
+func (la *lockAnalysis) reportUncheckable() {
 	for _, ip := range la.v.prog.Paths {
 		if PkgDir(ip) == "internal/lock" {
 			continue
@@ -170,12 +168,7 @@ func (la *lockAnalysis) reportUnclassed() {
 					return true
 				}
 				fn := la.cg.staticCallee(call)
-				if fn == nil {
-					return true
-				}
-				switch fullName(fn) {
-				case lockAcquire, lockTryAcquire, lockRelease, lockWith:
-				default:
+				if fn == nil || (fullName(fn) != lockHold && fullName(fn) != lockWith) {
 					return true
 				}
 				recv := ast.Unparen(call.Fun).(*ast.SelectorExpr).X
@@ -184,10 +177,30 @@ func (la *lockAnalysis) reportUnclassed() {
 						"%s.%s on a lock with no resolved class: every lock check skips it; construct it with lock.New or lock.NewSharded",
 						types.ExprString(recv), fn.Name())
 				}
+				if fullName(fn) == lockWith && withBody(la.v.prog.Info, call) == nil {
+					la.v.report(call.Args[1].Pos(), PassLockOrder,
+						"%s.With body is not a function literal written at the call site: the lock pass cannot see what runs under the lock",
+						types.ExprString(recv))
+				}
 				return true
 			})
 		}
 	}
+}
+
+// withBody returns the function literal a lock With call runs under
+// its lock, or nil when call is not a With call or its body is not
+// written at the call site.
+func withBody(info *types.Info, call *ast.CallExpr) *ast.FuncLit {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	if fn, ok := info.Uses[sel.Sel].(*types.Func); !ok || fullName(fn) != lockWith {
+		return nil
+	}
+	lit, _ := ast.Unparen(call.Args[1]).(*ast.FuncLit)
+	return lit
 }
 
 // --- layer 1: class resolution ---------------------------------------
@@ -406,15 +419,14 @@ func constStringVal(tv types.TypeAndValue) string {
 
 // --- layer 2: transitive acquire summaries ---------------------------
 
-// directEffects walks a body once and collects: classes acquired
-// immediately (Acquire/TryAcquire/With), module callees invoked
-// immediately, and literals that are deferred to the event loop.
+// directEffects walks a body once and collects the classes acquired
+// immediately (Hold/With) and the module callees invoked immediately.
 // Literals invoked inline (With bodies, immediate calls, local
-// closures, defers) contribute to the enclosing body's effects.
+// closures, defers) contribute to the enclosing body's effects;
+// literals deferred to the event loop do not.
 type directEffects struct {
 	acquires classSet
 	callees  []*types.Func
-	deferred []*ast.FuncLit
 }
 
 func (la *lockAnalysis) collectEffects(body ast.Node) *directEffects {
@@ -431,7 +443,7 @@ func (la *lockAnalysis) collectEffects(body ast.Node) *directEffects {
 		fn := la.cg.staticCallee(call)
 		if fn != nil {
 			switch fullName(fn) {
-			case lockAcquire, lockTryAcquire, lockWith:
+			case lockHold, lockWith:
 				if recv, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 					eff.acquires.add(la.classesOf(recv.X))
 				}
@@ -439,7 +451,6 @@ func (la *lockAnalysis) collectEffects(body ast.Node) *directEffects {
 			}
 			if idx, ok := isDeferredExecutor(fn); ok && idx < len(call.Args) {
 				if lit, ok := ast.Unparen(call.Args[idx]).(*ast.FuncLit); ok {
-					eff.deferred = append(eff.deferred, lit)
 					skip[lit] = true
 				}
 				return true
@@ -506,11 +517,100 @@ func (la *lockAnalysis) taOfLit(lit *ast.FuncLit) classSet {
 	return ta
 }
 
-// taOfCall is the acquire summary of one call expression: the lock
-// API itself, a module function, a devirtualized interface call, or a
-// local closure variable.
-func (w *lockWalker) taOfCall(call *ast.CallExpr) classSet {
-	la := w.la
+// --- layer 3: nesting scan ------------------------------------------
+
+// lockScan scans one function, or one deferred literal, for nesting.
+type lockScan struct {
+	la *lockAnalysis
+	fn *types.Func
+	// localLits resolves closure variables to their literals, so that a
+	// call through one uses the literal's summary.
+	localLits map[types.Object]*ast.FuncLit
+}
+
+func (la *lockAnalysis) newScan(fn *types.Func) *lockScan {
+	return &lockScan{la: la, fn: fn, localLits: map[types.Object]*ast.FuncLit{}}
+}
+
+// scan visits n, inside With bodies that hold the classes in held. A
+// With body adds its receiver's classes; a literal handed to a
+// deferred executor is queued for its own scan with nothing held.
+func (s *lockScan) scan(n ast.Node, held classSet) {
+	info := s.la.v.prog.Info
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && i < len(n.Rhs) {
+					s.noteLit(info.ObjectOf(id), n.Rhs[i])
+				}
+			}
+		case *ast.ValueSpec:
+			for i, name := range n.Names {
+				if i < len(n.Values) {
+					s.noteLit(info.Defs[name], n.Values[i])
+				}
+			}
+		case *ast.CallExpr:
+			return s.call(n, held)
+		}
+		return true
+	})
+}
+
+func (s *lockScan) noteLit(obj types.Object, val ast.Expr) {
+	if lit, ok := ast.Unparen(val).(*ast.FuncLit); ok && obj != nil {
+		s.localLits[obj] = lit
+	}
+}
+
+// call handles one call expression and reports whether the scan should
+// descend into it as usual.
+func (s *lockScan) call(call *ast.CallExpr, held classSet) bool {
+	la := s.la
+	fn := la.cg.staticCallee(call)
+	if fn != nil && (fullName(fn) == lockHold || fullName(fn) == lockWith) {
+		classes := la.classesOf(ast.Unparen(call.Fun).(*ast.SelectorExpr).X)
+		s.emit(held, classes, qualifiedName(s.fn))
+		body := withBody(la.v.prog.Info, call)
+		if body == nil {
+			return true // a non-literal body is reported by reportUncheckable
+		}
+		s.scan(call.Fun, held)
+		s.scan(call.Args[0], held)
+		inner := classSet{}
+		inner.add(held)
+		inner.add(classes)
+		s.scan(body.Body, inner)
+		return false
+	}
+	if idx, ok := isDeferredExecutor(fn); ok {
+		// The callback runs later, from the loop; the executor itself
+		// may acquire now (Wheel.Arm takes base.lock to link the timer).
+		if la.cg.decls[fn] != nil {
+			s.emit(held, la.ta[fn], qualifiedName(fn))
+		}
+		s.recordEntry(call, held)
+		s.scan(call.Fun, held)
+		for i, arg := range call.Args {
+			if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok && i == idx {
+				la.deferredLits = append(la.deferredLits, deferredLit{lit: lit, in: s.fn})
+				continue
+			}
+			s.scan(arg, held)
+		}
+		return false
+	}
+	s.emit(held, s.taOfCall(call), s.callSite(call))
+	s.recordEntry(call, held)
+	return true
+}
+
+// taOfCall is the acquire summary of one call expression: a module
+// function, a devirtualized interface call, or a local closure
+// variable.
+func (s *lockScan) taOfCall(call *ast.CallExpr) classSet {
+	la := s.la
 	if fn := la.cg.staticCallee(call); fn != nil {
 		if la.cg.decls[fn] != nil {
 			return la.ta[fn]
@@ -528,404 +628,54 @@ func (w *lockWalker) taOfCall(call *ast.CallExpr) classSet {
 	}
 	// Call through a local closure variable: x := func(){...}; x().
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if lit := w.localLits[la.v.prog.Info.ObjectOf(id)]; lit != nil {
+		if lit := s.localLits[la.v.prog.Info.ObjectOf(id)]; lit != nil {
 			return la.taOfLit(lit)
 		}
 	}
 	return nil
 }
 
-// --- layer 3: held-set walk ------------------------------------------
-
-// lockEnv is the per-path walk state: classes held (with the position
-// of the acquisition, for findings), the lock instances behind them,
-// and classes whose release is deferred.
-type lockEnv struct {
-	held     map[string]token.Pos
-	inst     map[string]heldInst
-	deferred map[string]bool
-	dead     bool // path ended (return/panic); stop checking
-}
-
-// heldInst is one held lock instance, keyed in lockEnv.inst by class
-// plus receiver and context expression.
-type heldInst struct {
-	pos     token.Pos
-	classes classSet
-}
-
-func newLockEnv() *lockEnv {
-	return &lockEnv{held: map[string]token.Pos{}, inst: map[string]heldInst{}, deferred: map[string]bool{}}
-}
-
-func (e *lockEnv) clone() *lockEnv {
-	c := newLockEnv()
-	for k, v := range e.held {
-		c.held[k] = v
-	}
-	for k, v := range e.inst {
-		c.inst[k] = v
-	}
-	for k := range e.deferred {
-		c.deferred[k] = true
-	}
-	c.dead = e.dead
-	return c
-}
-
-// instKey names the lock instance a lock API call operates on, as
-// receiver(context) plus its classes: "p.A(ctx) [corpus.a]".
-func instKey(classes classSet, call *ast.CallExpr) string {
-	key := types.ExprString(ast.Unparen(call.Fun).(*ast.SelectorExpr).X)
-	if len(call.Args) > 0 {
-		key += "(" + types.ExprString(call.Args[0]) + ")"
-	}
-	return key + " " + fmt.Sprint(classes.sorted())
-}
-
-// merge keeps the intersection of held sets from branches that fell
-// through; dead branches contribute nothing.
-func (e *lockEnv) merge(branches ...*lockEnv) {
-	var live []*lockEnv
-	for _, b := range branches {
-		if b != nil && !b.dead {
-			live = append(live, b)
-		}
-	}
-	if len(live) == 0 {
-		e.dead = true
+func (s *lockScan) emit(held, acquired classSet, site string) {
+	if len(held) == 0 || len(acquired) == 0 {
 		return
 	}
-	e.held = intersect(live, func(b *lockEnv) map[string]token.Pos { return b.held })
-	e.inst = intersect(live, func(b *lockEnv) map[string]heldInst { return b.inst })
-	e.deferred = map[string]bool{}
-	for _, b := range live {
-		for k := range b.deferred {
-			e.deferred[k] = true
-		}
-	}
-}
-
-// intersect keeps the entries of the first branch's map whose keys
-// every branch holds.
-func intersect[V any](live []*lockEnv, m func(*lockEnv) map[string]V) map[string]V {
-	out := map[string]V{}
-	for k, v := range m(live[0]) {
-		in := true
-		for _, b := range live[1:] {
-			if _, ok := m(b)[k]; !ok {
-				in = false
-				break
-			}
-		}
-		if in {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-type lockWalker struct {
-	la *lockAnalysis
-	fn *types.Func
-	// outer carries classes held by enclosing contexts (With bodies);
-	// they produce edges but are not this walk's to release.
-	outer classSet
-	// localLits resolves closure variables to their literals.
-	localLits map[types.Object]*ast.FuncLit
-}
-
-func (la *lockAnalysis) walkFunc(fn *types.Func) {
-	w := &lockWalker{la: la, fn: fn, localLits: map[types.Object]*ast.FuncLit{}}
-	env := newLockEnv()
-	w.walkBody(la.cg.decls[fn].Body, env)
-	w.checkExit(env, la.cg.decls[fn].End())
-}
-
-// heldAll is the edge-source set: enclosing contexts plus this walk's
-// held classes.
-func (w *lockWalker) heldAll(env *lockEnv) []string {
-	set := classSet{}
-	set.add(w.outer)
-	for k := range env.held {
-		set[k] = true
-	}
-	return set.sorted()
-}
-
-func (w *lockWalker) emitEdges(env *lockEnv, acquired classSet, site string) {
-	if len(acquired) == 0 {
-		return
-	}
-	for _, outer := range w.heldAll(env) {
+	for _, outer := range held.sorted() {
 		for _, inner := range acquired.sorted() {
 			if outer == inner {
 				continue // shards of one class have no canonical order
 			}
 			key := [2]string{outer, inner}
-			sites := w.la.edges[key]
+			sites := s.la.edges[key]
 			if sites == nil {
 				sites = map[string]bool{}
-				w.la.edges[key] = sites
+				s.la.edges[key] = sites
 			}
 			sites[site] = true
 		}
 	}
 }
 
-// lockCall classifies a call against the lock API; recv is the lock
-// expression for class resolution.
-func (w *lockWalker) lockCall(call *ast.CallExpr) (kind string, classes classSet) {
-	fn := w.la.cg.staticCallee(call)
-	if fn == nil {
-		return "", nil
-	}
-	var recv ast.Expr
-	if se, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		recv = se.X
-	}
-	switch fullName(fn) {
-	case lockAcquire:
-		return "acquire", w.la.classesOf(recv)
-	case lockTryAcquire:
-		return "tryacquire", w.la.classesOf(recv)
-	case lockRelease:
-		return "release", w.la.classesOf(recv)
-	case lockWith:
-		return "with", w.la.classesOf(recv)
-	}
-	return "", nil
-}
-
-func (w *lockWalker) walkBody(body *ast.BlockStmt, env *lockEnv) {
-	for _, stmt := range body.List {
-		w.walkStmt(stmt, env)
-	}
-}
-
-func (w *lockWalker) walkStmt(stmt ast.Stmt, env *lockEnv) {
-	if env.dead {
-		return
-	}
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		w.walkExpr(s.X, env)
-	case *ast.AssignStmt:
-		// Record local closures (x := func(){...}) so later calls
-		// through x resolve, and check their lock pairing on their own;
-		// then process RHS effects.
-		for i := range s.Lhs {
-			if i < len(s.Rhs) {
-				if lit, ok := ast.Unparen(s.Rhs[i]).(*ast.FuncLit); ok {
-					if id, ok := ast.Unparen(s.Lhs[i]).(*ast.Ident); ok {
-						w.localLits[w.la.v.prog.Info.ObjectOf(id)] = lit
-						w.walkLit(lit, nil)
-						continue
-					}
-				}
-				w.walkExpr(s.Rhs[i], env)
-			}
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for i, val := range vs.Values {
-						if lit, ok := ast.Unparen(val).(*ast.FuncLit); ok && i < len(vs.Names) {
-							w.localLits[w.la.v.prog.Info.ObjectOf(vs.Names[i])] = lit
-							w.walkLit(lit, nil)
-							continue
-						}
-						w.walkExpr(val, env)
-					}
-				}
-			}
-		}
-	case *ast.DeferStmt:
-		kind, classes := w.lockCall(s.Call)
-		if kind == "release" {
-			for c := range classes {
-				env.deferred[c] = true
-			}
-			return
-		}
-		// defer func(){...}(): releases inside count as deferred;
-		// other effects are walked with the current held set.
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			ast.Inspect(lit.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if k, cs := w.lockCall(call); k == "release" {
-						for c := range cs {
-							env.deferred[c] = true
-						}
-					}
-				}
-				return true
-			})
-			sub := env.clone()
-			w.walkBody(lit.Body, sub)
-		}
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			w.walkExpr(r, env)
-		}
-		w.checkExit(env, s.Pos())
-		env.dead = true
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, env)
-		}
-		w.walkIf(s, env)
-	case *ast.BlockStmt:
-		w.walkBody(s, env)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, env)
-		}
-		w.walkLoop(s.Body, env)
-	case *ast.RangeStmt:
-		w.walkExpr(s.X, env)
-		w.walkLoop(s.Body, env)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, env)
-		}
-		w.walkCases(s.Body, env)
-	case *ast.TypeSwitchStmt:
-		w.walkCases(s.Body, env)
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt, env)
-	case *ast.GoStmt:
-		// Forbidden by the determinism pass; ignore here.
-	}
-}
-
-// walkLoop walks one iteration of a loop body and flags locks the body
-// acquires and still holds, with no deferred release, when it ends:
-// the next iteration would take them again.
-func (w *lockWalker) walkLoop(body *ast.BlockStmt, env *lockEnv) {
-	sub := env.clone()
-	w.walkBody(body, sub)
-	if sub.dead {
-		return
-	}
-	for _, c := range sortedMapKeys(sub.held) {
-		if pos := sub.held[c]; pos >= body.Pos() && pos < body.End() && !sub.deferred[c] {
-			w.la.v.report(pos, PassLockOrder,
-				"%s acquires %q in a loop body and still holds it when the body ends: release it before the next iteration",
-				qualifiedName(w.fn), c)
-		}
-	}
-}
-
-func (w *lockWalker) walkCases(body *ast.BlockStmt, env *lockEnv) {
-	var branches []*lockEnv
-	hasDefault := false
-	for _, c := range body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		if cc.List == nil {
-			hasDefault = true
-		}
-		sub := env.clone()
-		for _, st := range cc.Body {
-			w.walkStmt(st, sub)
-		}
-		branches = append(branches, sub)
-	}
-	if !hasDefault {
-		branches = append(branches, env.clone())
-	}
-	env.merge(branches...)
-}
-
-// walkIf handles the TryAcquire conditional idioms and ordinary
-// branch merging.
-func (w *lockWalker) walkIf(s *ast.IfStmt, env *lockEnv) {
-	thenEnv := env.clone()
-	elseEnv := env.clone()
-
-	matched := false
-	var guard *ast.CallExpr
-	var guarded classSet
-	if call, neg := tryAcquireCond(s.Cond); call != nil {
-		if kind, classes := w.lockCall(call); kind == "tryacquire" {
-			matched = true
-			w.emitEdges(env, classes, qualifiedName(w.fn))
-			if neg {
-				// if !l.TryAcquire(c) { bail }: held on the else path
-				// and after a terminating then-branch.
-				w.hold(elseEnv, classes, call)
-			} else {
-				w.hold(thenEnv, classes, call)
-				guard, guarded = call, classes
-			}
-		}
-	}
-	if !matched {
-		w.walkExprCond(s.Cond, env)
-	}
-
-	w.walkBody(s.Body, thenEnv)
-	if guard != nil && !thenEnv.dead {
-		// if l.TryAcquire(c) { ... }: code after the statement runs
-		// whether or not the lock was taken, so the branch must not
-		// fall through holding it.
-		for _, c := range guarded.sorted() {
-			if thenEnv.held[c] == guard.Pos() && !thenEnv.deferred[c] {
-				w.la.v.report(guard.Pos(), PassLockOrder,
-					"%s: %q from this TryAcquire is still held when the guarded branch falls through: release it inside the branch",
-					qualifiedName(w.fn), c)
-			}
-		}
-	}
-	switch e := s.Else.(type) {
-	case *ast.BlockStmt:
-		w.walkBody(e, elseEnv)
-	case *ast.IfStmt:
-		w.walkStmt(e, elseEnv)
-	case nil:
-	}
-	env.merge(thenEnv, elseEnv)
-}
-
-// walkExprCond surfaces lock effects in a condition expression
-// (method calls that acquire via summaries).
-func (w *lockWalker) walkExprCond(e ast.Expr, env *lockEnv) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			w.emitEdges(env, w.taOfCall(call), w.callSite(call))
-			w.recordEntry(call, env)
-		}
-		return true
-	})
-}
-
 // recordEntry logs the callee's entry context for the shard pass when
-// the caller is on the hot path: held if anything is held here (this
-// walk's env or an enclosing With body), bare otherwise. Interface
-// calls record every module implementer — the walk cannot know which
-// one runs.
-func (w *lockWalker) recordEntry(call *ast.CallExpr, env *lockEnv) {
-	la := w.la
-	if la.hot == nil || !la.hot[w.fn] {
+// the caller is on the hot path: held if an enclosing With body holds
+// a lock, bare otherwise. Interface calls record every module
+// implementer — the scan cannot know which one runs.
+func (s *lockScan) recordEntry(call *ast.CallExpr, held classSet) {
+	la := s.la
+	if la.hot == nil || !la.hot[s.fn] {
 		return
 	}
 	// A //fsvet:shared waiver on the call line acknowledges an unlocked
 	// handoff of exclusively-owned state (the cookie path handing its
-	// fresh child to Input); it does not poison the callee's entry
-	// context.
+	// fresh child to Input, a per-core table's chain); it does not
+	// poison the callee's entry context.
 	if tp := la.v.prog.RelPos(call.Pos()); markedAt(la.v.mk.shared, tp.Filename, tp.Line) {
 		return
 	}
-	held := len(w.outer) > 0 || len(env.held) > 0
 	mark := func(fn *types.Func) {
 		if fn == nil || la.cg.decls[fn] == nil {
 			return
 		}
-		la.entryEdges[fn] = append(la.entryEdges[fn], entryEdge{caller: w.fn, held: held})
+		la.entryEdges[fn] = append(la.entryEdges[fn], entryEdge{caller: s.fn, held: len(held) > 0})
 	}
 	if fn := la.cg.staticCallee(call); fn != nil {
 		mark(fn)
@@ -970,200 +720,15 @@ func (la *lockAnalysis) runsLocked(hot map[*types.Func]bool) map[*types.Func]boo
 	return locked
 }
 
-// tryAcquireCond matches `x.TryAcquire(c)` and `!x.TryAcquire(c)`.
-func tryAcquireCond(cond ast.Expr) (call *ast.CallExpr, negated bool) {
-	switch c := ast.Unparen(cond).(type) {
-	case *ast.CallExpr:
-		return c, false
-	case *ast.UnaryExpr:
-		if c.Op == token.NOT {
-			if inner, ok := ast.Unparen(c.X).(*ast.CallExpr); ok {
-				return inner, true
-			}
-		}
-	}
-	return nil, false
-}
-
 // callSite names the function whose summary produced an edge.
-func (w *lockWalker) callSite(call *ast.CallExpr) string {
-	if fn := w.la.cg.staticCallee(call); fn != nil && w.la.cg.decls[fn] != nil {
+func (s *lockScan) callSite(call *ast.CallExpr) string {
+	if fn := s.la.cg.staticCallee(call); fn != nil && s.la.cg.decls[fn] != nil {
 		return qualifiedName(fn)
 	}
-	if m := w.la.cg.ifaceCallee(call); m != nil {
+	if m := s.la.cg.ifaceCallee(call); m != nil {
 		return qualifiedName(m)
 	}
-	return qualifiedName(w.fn)
-}
-
-// walkExpr processes one expression statement: lock API calls mutate
-// the env; other calls emit summary edges; literals route per their
-// execution context.
-func (w *lockWalker) walkExpr(e ast.Expr, env *lockEnv) {
-	if lit, ok := ast.Unparen(e).(*ast.FuncLit); ok {
-		// A literal stored for later (tm.fn = func(){...}) is assumed
-		// to run under the current held set, as an argument literal is.
-		w.walkLit(lit, heldUnion(w.outer, env))
-		return
-	}
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		// Non-call expressions can still contain calls (rare in
-		// statement position); scan conservatively.
-		w.walkExprCond(e, env)
-		return
-	}
-	kind, classes := w.lockCall(call)
-	switch kind {
-	case "acquire", "tryacquire":
-		w.emitEdges(env, classes, qualifiedName(w.fn))
-		w.hold(env, classes, call)
-		return
-	case "release":
-		w.release(env, classes, call)
-		return
-	case "with":
-		w.emitEdges(env, classes, qualifiedName(w.fn))
-		// Walk the body with the class held in the outer set.
-		if len(call.Args) >= 2 {
-			switch f := ast.Unparen(call.Args[1]).(type) {
-			case *ast.FuncLit:
-				w.walkLit(f, w.withOuter(env, classes))
-			case *ast.Ident:
-				if lit := w.localLits[w.la.v.prog.Info.ObjectOf(f)]; lit != nil {
-					w.walkLit(lit, w.withOuter(env, classes))
-				}
-			}
-		}
-		return
-	}
-
-	// Deferred-executor call: queue the literal for an empty-held walk
-	// and emit nothing here (it runs later, from the loop).
-	if fn := w.la.cg.staticCallee(call); fn != nil {
-		if idx, ok := isDeferredExecutor(fn); ok {
-			if idx < len(call.Args) {
-				if lit, ok := ast.Unparen(call.Args[idx]).(*ast.FuncLit); ok {
-					w.la.deferredLits = append(w.la.deferredLits, deferredLit{lit: lit, in: w.fn})
-				}
-			}
-			// The executor itself may acquire immediately (Wheel.Arm
-			// takes base.lock to link the timer).
-			if w.la.cg.decls[fn] != nil {
-				w.emitEdges(env, w.la.ta[fn], qualifiedName(fn))
-			}
-			w.recordEntry(call, env)
-			return
-		}
-	}
-
-	// Immediate literal call: func(){...}(...).
-	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		w.walkLit(lit, heldUnion(w.outer, env))
-		return
-	}
-
-	// Ordinary call: edges from everything held to the callee's
-	// transitive acquires; nested argument calls scanned too.
-	w.emitEdges(env, w.taOfCall(call), w.callSite(call))
-	w.recordEntry(call, env)
-	for _, arg := range call.Args {
-		if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-			// A literal handed to anything but a deferred executor
-			// (those returned above) is assumed to run synchronously
-			// under the current held set — sort.Slice callbacks,
-			// helper visitors. The assumption is conservative in the
-			// edge direction only: with nothing held it adds nothing.
-			w.walkLit(lit, heldUnion(w.outer, env))
-			continue
-		}
-		w.walkExprCond(arg, env)
-	}
-}
-
-// walkLit walks a function literal as a function of its own: a fresh
-// held set, the enclosing context's classes as outer, and its own exit
-// check (its lock pairing is its own).
-func (w *lockWalker) walkLit(lit *ast.FuncLit, outer classSet) {
-	sub := &lockWalker{la: w.la, fn: w.fn, localLits: w.localLits, outer: outer}
-	env := newLockEnv()
-	sub.walkBody(lit.Body, env)
-	sub.checkExit(env, lit.Body.End())
-}
-
-// hold records an acquisition on this path and reports it if the same
-// lock instance is already held.
-func (w *lockWalker) hold(env *lockEnv, classes classSet, call *ast.CallExpr) {
-	if len(classes) == 0 {
-		return // reported by reportUnclassed
-	}
-	key := instKey(classes, call)
-	if prev, ok := env.inst[key]; ok {
-		w.la.v.report(call.Pos(), PassLockOrder,
-			"%s acquires %s again while already holding it (acquired at %s)",
-			qualifiedName(w.fn), key, w.la.v.prog.RelPos(prev.pos))
-	}
-	env.inst[key] = heldInst{pos: call.Pos(), classes: classes}
-	for c := range classes {
-		env.held[c] = call.Pos()
-	}
-}
-
-// release drops the released classes and instance. A Release spelled
-// differently from its Acquire (an alias) drops every held instance of
-// the class, so aliasing can hide a re-acquire but never invent one.
-func (w *lockWalker) release(env *lockEnv, classes classSet, call *ast.CallExpr) {
-	for c := range classes {
-		delete(env.held, c)
-		delete(env.deferred, c)
-	}
-	if key := instKey(classes, call); env.inst[key].pos.IsValid() {
-		delete(env.inst, key)
-		return
-	}
-	for k, h := range env.inst {
-		for c := range classes {
-			if h.classes[c] {
-				delete(env.inst, k)
-				break
-			}
-		}
-	}
-}
-
-func (w *lockWalker) withOuter(env *lockEnv, classes classSet) classSet {
-	out := heldUnion(w.outer, env)
-	out.add(classes)
-	return out
-}
-
-func heldUnion(outer classSet, env *lockEnv) classSet {
-	out := classSet{}
-	out.add(outer)
-	for k := range env.held {
-		out[k] = true
-	}
-	return out
-}
-
-// checkExit flags locks still held (and not deferred-released) at a
-// return or at the end of the function body.
-func (w *lockWalker) checkExit(env *lockEnv, pos token.Pos) {
-	if env.dead {
-		return
-	}
-	var leaked []string
-	for c := range env.held {
-		if !env.deferred[c] {
-			leaked = append(leaked, c)
-		}
-	}
-	sort.Strings(leaked)
-	for _, c := range leaked {
-		w.la.v.report(pos, PassLockOrder,
-			"%s may return while holding %q (acquired at %s, no Release on this path)",
-			qualifiedName(w.fn), c, w.la.v.prog.RelPos(env.held[c]))
-	}
+	return qualifiedName(s.fn)
 }
 
 // --- inversions and output -------------------------------------------
@@ -1266,17 +831,6 @@ func (la *lockAnalysis) reportInversions() {
 		}
 		la.v.reportGraph(PassLockOrder, "(lock-order graph)",
 			"potential lock-order inversion among classes %v: %s",
-			comp, joinStrings(detail, "; "))
+			comp, strings.Join(detail, "; "))
 	}
-}
-
-func joinStrings(ss []string, sep string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += sep
-		}
-		out += s
-	}
-	return out
 }

@@ -18,26 +18,26 @@ import (
 // For every hot-path function in the kernel-side packages the pass
 // collects mutations of reachable state — stores through the pointer
 // receiver, pointer parameters, or package-level variables, the same
-// root classification the charge pass uses — and requires each one to
-// be covered by one of:
+// root classification the charge pass uses — outside function
+// literals. A lock is held only inside a With body, which is a literal,
+// so no collected mutation has a lock held at its own site; each one
+// must be covered by one of:
 //
-//  1. a lock held at the site: an Acquire/TryAcquire/With before the
-//     mutation with a Release after it in the same function;
-//  2. a locked entry context: the lockorder walk saw every hot-path
+//  1. a locked entry context: the lockorder scan saw every hot-path
 //     call to this function made with at least one class held (the
 //     socket-lock convention: tcp.Input runs under Slock taken by the
 //     softirq, so its Sock mutations are covered by the caller);
-//  3. a //fsvet:percore marker on the mutated field or its owning
+//  2. a //fsvet:percore marker on the mutated field or its owning
 //     type: the state is core-owned and lockless mutation is the
 //     design (NIC per-queue state, flow-home socket extensions);
-//  4. a //fsvet:shared waiver on the field, its type, or the mutation
+//  3. a //fsvet:shared waiver on the field, its type, or the mutation
 //     line: genuinely shared, acknowledged, justified in DESIGN.md §5.
 //
 // Everything else is a finding. Mutations reached only through local
-// pointer derivations, and mutations inside function literals, are
-// attributed where the charge pass attributes them (at the function
-// whose receiver/params root them); the runtime lockdep cross-check
-// remains the dynamic backstop for what this approximation misses.
+// pointer derivations, and mutations inside function literals (With
+// bodies run under their lock; the other literals run in their own
+// context), are not collected; the runtime lockdep cross-check remains
+// the dynamic backstop for what this approximation misses.
 
 // shardPkgs are the kernel-side packages whose state the pass
 // classifies. The engine substrate (sim, cpu, lock) is out of scope:
@@ -72,24 +72,15 @@ type mutation struct {
 func (v *vetter) checkShard(cg *callGraph, hot map[*types.Func]bool, la *lockAnalysis, mk *markers) {
 	locked := la.runsLocked(hot)
 	for _, fn := range cg.funcs {
-		if !hot[fn] || !shardScope(cg.pkgOf[fn]) {
+		if !hot[fn] || !shardScope(cg.pkgOf[fn]) || locked[fn] {
 			continue
 		}
-		fd := cg.decls[fn]
-		muts := v.collectMutations(fd)
-		if len(muts) == 0 {
-			continue
-		}
-		enteredLocked := locked[fn]
-		spans := v.lockSpans(cg, fd)
+		muts := v.collectMutations(cg.decls[fn])
 
 		// One finding per (function, state subject): the first uncovered
 		// mutation anchors it, keeping the waiver surface per-field.
 		reported := map[string]bool{}
 		for _, m := range muts {
-			if enteredLocked || spans.heldAt(m.pos) {
-				continue
-			}
 			if v.stateMarked(mk.percore, m) || v.stateMarked(mk.shared, m) {
 				continue
 			}
@@ -128,8 +119,8 @@ func (v *vetter) stateMarked(set map[fileLine]bool, m mutation) bool {
 
 // collectMutations gathers stores into reachable state, rooted at the
 // pointer receiver, pointer parameters, or package-level variables.
-// Function-literal interiors are skipped (they run in their own
-// context; the deferred ones with nothing held).
+// Function-literal interiors are skipped: a With body runs under its
+// lock, a deferred literal later with nothing held.
 func (v *vetter) collectMutations(fd *ast.FuncDecl) []mutation {
 	info := v.prog.Info
 	roots := map[types.Object]bool{}
@@ -297,69 +288,4 @@ func (v *vetter) checkMailbox(cg *callGraph, mk *markers) {
 				qualifiedName(fn))
 		}
 	}
-}
-
-// lockSpanSet is the positional lock-coverage approximation for one
-// function: a mutation site counts as locked when some acquisition
-// precedes it and some release follows it in the source. This covers
-// the kernel's straight-line Acquire ... Release idiom including
-// multi-exit bodies (early releases on bail-out paths); re-acquired
-// sections are merged conservatively, with runtime lockdep as the
-// dynamic backstop.
-type lockSpanSet struct {
-	acquires []token.Pos
-	releases []token.Pos
-}
-
-func (s *lockSpanSet) heldAt(pos token.Pos) bool {
-	anyBefore := false
-	for _, a := range s.acquires {
-		if a < pos {
-			anyBefore = true
-			break
-		}
-	}
-	if !anyBefore {
-		return false
-	}
-	for _, r := range s.releases {
-		if r > pos {
-			return true
-		}
-	}
-	return false
-}
-
-// lockSpans scans one body for lock API calls. With(...) contributes
-// an acquire at the call and a release at its end, covering the
-// closure body. defer Release covers through the end of the function.
-func (v *vetter) lockSpans(cg *callGraph, fd *ast.FuncDecl) *lockSpanSet {
-	s := &lockSpanSet{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if d, ok := n.(*ast.DeferStmt); ok {
-			if fn := cg.staticCallee(d.Call); fn != nil && fullName(fn) == lockRelease {
-				s.releases = append(s.releases, fd.Body.End())
-			}
-			return true
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := cg.staticCallee(call)
-		if fn == nil {
-			return true
-		}
-		switch fullName(fn) {
-		case lockAcquire, lockTryAcquire:
-			s.acquires = append(s.acquires, call.Pos())
-		case lockRelease:
-			s.releases = append(s.releases, call.Pos())
-		case lockWith:
-			s.acquires = append(s.acquires, call.Pos())
-			s.releases = append(s.releases, call.End())
-		}
-		return true
-	})
-	return s
 }

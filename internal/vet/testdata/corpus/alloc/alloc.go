@@ -6,15 +6,17 @@
 // preserves them across regeneration.
 package corpus
 
+import "fastsocket/internal/lock"
+
 type blob struct{ a, b int }
 
 // Root is the corpus hot-path root: every helper below is in its
 // closure and therefore scanned.
 //
 //fsvet:hotpath corpus allocation-scan root
-func Root(n int) int {
+func Root(c lock.Context, n int) int {
 	return composites(n) + builtins(n) + growth(n) + boxing(n) +
-		variadics(n) + strconvs("x") + closures(n) +
+		variadics(n) + strconvs("x") + closures(n) + withBody(c, n) +
 		budgeted(n) + overBudget(n) + staleNone(n) + staleFewer(n) + kindsChanged(n)
 }
 
@@ -76,6 +78,18 @@ func strconvs(s string) int {
 func closures(n int) int {
 	f := func() int { return n } // want "hot-path allocation \(closure\)"
 	return f()
+}
+
+var mu = lock.New("corpus.alloc", 0)
+
+// withBody: a lock With body stays on the caller's stack, so it is no
+// closure site, and what it allocates counts here.
+func withBody(c lock.Context, n int) int {
+	var s []int
+	mu.With(c, func() {
+		s = append(s, n) // want "hot-path allocation \(append\) in internal/kernel/vetcorpus_alloc.withBody"
+	})
+	return len(s)
 }
 
 // budgeted has exactly the sites its committed entry allows: clean.

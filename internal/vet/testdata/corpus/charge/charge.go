@@ -1,6 +1,6 @@
 // Golden corpus for the charge pass: functions handed a charging
 // context must pay for the state they mutate, directly or through a
-// callee (lock.Acquire charges internally, so locked sections pass).
+// callee (taking a lock charges internally, so locked sections pass).
 package corpus
 
 import (
@@ -34,9 +34,7 @@ func (tb *Table) PaidViaHelper(t *cpu.Task) {
 }
 
 func (tb *Table) PaidViaLock(t *cpu.Task) {
-	tb.mu.Acquire(t)
-	tb.n++
-	tb.mu.Release(t)
+	tb.mu.With(t, func() { tb.n++ })
 }
 
 // LocalOnly mutates nothing reachable: clean without charging.

@@ -2,7 +2,7 @@
 // functionality so the restricted reach caller has no direct forbidden
 // import, only a call chain; it also shows which checks stay silent
 // outside restricted packages (imports, units) and which apply to all
-// module code (lock pairing).
+// module code (lock classes).
 package reachutil
 
 import (
@@ -23,10 +23,8 @@ func Counts() map[string]int { return map[string]int{"a": 1} }
 // packages.
 func Tick() sim.Time { return sim.Time(250000) }
 
-var guard = lock.New("corpus.util", 0)
-
-// HoldGuard ends holding its lock: lock pairing is checked in every
-// module package, restricted or not.
-func HoldGuard(ctx lock.Context) {
-	guard.Acquire(ctx)
-} // want "may return while holding \"corpus.util\""
+// HoldGuard locks a SpinLock that no lock.New call names: lock classes
+// are checked in every module package, restricted or not.
+func HoldGuard(ctx lock.Context, guard *lock.SpinLock) {
+	guard.Hold(ctx, 1) // want "guard.Hold on a lock with no resolved class"
+}

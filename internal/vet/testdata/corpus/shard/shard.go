@@ -1,6 +1,6 @@
 // Golden corpus for the shard pass: one "kernel" object with a field
-// of every protection class. Mutations from the hot closure must be
-// inside a lock span, inherit a locked entry context, hit state marked
+// of every protection class. Mutations from the hot closure must sit
+// in a With body, inherit a locked entry context, hit state marked
 // //fsvet:percore, or carry a //fsvet:shared waiver — everything else
 // is a finding.
 package corpus
@@ -48,23 +48,18 @@ func Root(ctx lock.Context, s *state, k int) {
 	s.waived++
 	s.pc.bump()
 	locked(ctx, s)
-	s.mu.Acquire(ctx)
-	enteredHeld(s)
-	s.mu.Release(ctx)
+	s.mu.With(ctx, func() { enteredHeld(s) })
 	enteredBare(s, k)
-	tryIdiom(ctx, s)
-	deferred(ctx, s)
+	afterHold(ctx, s)
 }
 
-// locked mutates only inside its own Acquire/Release span: clean.
+// locked mutates only inside its own With body: clean.
 func locked(ctx lock.Context, s *state) {
-	s.mu.Acquire(ctx)
-	s.shared.hits++
-	s.mu.Release(ctx)
+	s.mu.With(ctx, func() { s.shared.hits++ })
 }
 
 // enteredHeld holds no lock itself, but its only hot entry (from Root)
-// happens under s.mu — the entry-context fixpoint covers it.
+// is inside a With body on s.mu — the entry-context fixpoint covers it.
 func enteredHeld(s *state) {
 	s.shared.hits++
 }
@@ -74,19 +69,9 @@ func enteredBare(s *state, k int) {
 	delete(s.table, k) // want "hot-path write to shared state.table in internal/kernel/vetcorpus_shard.enteredBare"
 }
 
-// tryIdiom mutates between a successful TryAcquire and the Release:
-// the positional span covers it.
-func tryIdiom(ctx lock.Context, s *state) {
-	if !s.mu.TryAcquire(ctx) {
-		return
-	}
-	s.shared.hits++
-	s.mu.Release(ctx)
-}
-
-// deferred releases via defer: the span runs to the body end.
-func deferred(ctx lock.Context, s *state) {
-	s.mu.Acquire(ctx)
-	defer s.mu.Release(ctx)
-	s.shared.hits++
+// afterHold writes after its Hold has returned, when the lock is free
+// again.
+func afterHold(ctx lock.Context, s *state) {
+	s.mu.Hold(ctx, 1)
+	s.shared.hits++ // want "hot-path write to shared state.shared in internal/kernel/vetcorpus_shard.afterHold"
 }

@@ -14,16 +14,14 @@
 //   - units: bare integer literals flowing into sim.Time positions,
 //     resolved through the type checker (parameters, conversions, and
 //     arithmetic mixing bare ints into sim.Time expressions).
-//   - lockorder: an interprocedural static lock-order graph. Held
-//     lock.SpinLock class sets propagate across the call graph
-//     (including interface devirtualization, e.g. tcp.Env to
-//     *kernel.Kernel); the pass reports potential order inversions. It
-//     also checks lock pairing in every module function and function
-//     literal: a path that returns holding a lock it acquired, a lock
-//     taken again while held, a lock still held at the end of the loop
-//     body that acquired it, a TryAcquire guard whose branch falls
-//     through holding the lock, and a lock call whose class does not
-//     resolve.
+//   - lockorder: an interprocedural static lock-order graph. A lock is
+//     held only for one Hold or With call, so the held set at a site is
+//     the With bodies that enclose it; acquire summaries carry it
+//     across the call graph (including interface devirtualization,
+//     e.g. tcp.Env to *kernel.Kernel), and the pass reports potential
+//     order inversions. It also reports a lock call whose class does
+//     not resolve and a With body that is not a function literal at
+//     the call site.
 //   - charge: functions in restricted packages that mutate reachable
 //     kernel/TCB/VFS state on some path without charging virtual time
 //     (Charge/Spin, directly or transitively) — simulated work that
@@ -33,14 +31,15 @@
 //     (Live/Cancelled) — use-after-free against the pooled scheduler.
 //   - alloc: heap-allocation sites (composite literals, new/make,
 //     append, map inserts, interface boxing, string conversions,
-//     closures) in every function reachable from the //fsvet:hotpath
-//     roots, checked in both directions against the committed
-//     per-function budget in .fsvet-allocbudget.json; the budget's
-//     runtime ceilings are cross-checked against MemStats and
-//     testing.AllocsPerRun by the runtime alloc cross-check.
-//   - shard: hot-path writes to kernel/TCB/stats state must be under a
-//     lock at the site, in a function only ever entered with a lock
-//     held, on //fsvet:percore state, or explicitly waived with
+//     closures other than With bodies) in every function reachable
+//     from the //fsvet:hotpath roots, checked in both directions
+//     against the committed per-function budget in
+//     .fsvet-allocbudget.json; the budget's runtime ceilings are
+//     cross-checked against MemStats and testing.AllocsPerRun by the
+//     runtime alloc cross-check.
+//   - shard: hot-path writes to kernel/TCB/stats state must be inside
+//     a With body, in a function only ever entered with a lock held,
+//     on //fsvet:percore state, or explicitly waived with
 //     //fsvet:shared <reason> — the per-core isolation proof the
 //     future sharded engine depends on.
 //   - mailbox: shard.Engine.Post is the parallel engine's only

@@ -261,6 +261,11 @@ func TestGoldenCorpus(t *testing.T) {
 			t.Errorf("static lock graph missing edge %s -> %s", e[0], e[1])
 		}
 	}
+	// A literal handed to a deferred executor inside a With body runs
+	// later with nothing held.
+	if hasEdge("corpus.a", "corpus.late") {
+		t.Errorf("static lock graph has corpus.a -> corpus.late: a deferred literal inherited its enclosing With body's lock")
+	}
 }
 
 // TestRunIsDeterministic loads the repository plus the golden corpus

@@ -169,21 +169,11 @@ func (l *Layer) AllocSocketFile(t *cpu.Task, sock any) *File {
 	f := l.getFile(sock)
 	switch l.mode {
 	case Legacy2632:
-		l.Dcache.Acquire(t)
-		t.Charge(l.costs.DentryWork)
-		l.Dcache.Release(t)
-		l.Inode.Acquire(t)
-		t.Charge(l.costs.InodeWork)
-		l.Inode.Release(t)
+		l.Dcache.Hold(t, l.costs.DentryWork)
+		l.Inode.Hold(t, l.costs.InodeWork)
 	case Sharded313:
-		d := l.dcacheSharded.Shard(f.Ino)
-		d.Acquire(t)
-		t.Charge(l.costs.ShardedWork)
-		d.Release(t)
-		i := l.inodeSharded.Shard(f.Ino)
-		i.Acquire(t)
-		t.Charge(l.costs.ShardedWork)
-		i.Release(t)
+		l.dcacheSharded.Shard(f.Ino).Hold(t, l.costs.ShardedWork)
+		l.inodeSharded.Shard(f.Ino).Hold(t, l.costs.ShardedWork)
 	case Fastpath:
 		// Fastsocket-aware VFS: no dentry/inode tables, no locks;
 		// only the inode number and socket pointer needed by /proc.
@@ -210,21 +200,11 @@ func (l *Layer) AllocBoot(sock any) *File {
 func (l *Layer) FreeSocketFile(t *cpu.Task, f *File) {
 	switch l.mode {
 	case Legacy2632:
-		l.Dcache.Acquire(t)
-		t.Charge(l.costs.FreeWork)
-		l.Dcache.Release(t)
-		l.Inode.Acquire(t)
-		t.Charge(l.costs.FreeWork)
-		l.Inode.Release(t)
+		l.Dcache.Hold(t, l.costs.FreeWork)
+		l.Inode.Hold(t, l.costs.FreeWork)
 	case Sharded313:
-		d := l.dcacheSharded.Shard(f.Ino)
-		d.Acquire(t)
-		t.Charge(l.costs.ShardedWork)
-		d.Release(t)
-		i := l.inodeSharded.Shard(f.Ino)
-		i.Acquire(t)
-		t.Charge(l.costs.ShardedWork)
-		i.Release(t)
+		l.dcacheSharded.Shard(f.Ino).Hold(t, l.costs.ShardedWork)
+		l.inodeSharded.Shard(f.Ino).Hold(t, l.costs.ShardedWork)
 	case Fastpath:
 		t.Charge(l.costs.FastWork)
 	}

@@ -249,7 +249,11 @@ func simperfShard(workers int) simperfShardRun {
 			Concurrency: shardConc * shardCores,
 			Seed:        uint64(1000 + i),
 		})
-		clis[i].Start()
+	}
+	// Routes are bound when a packet is sent, so every endpoint is
+	// attached before the first client starts.
+	for _, c := range clis {
+		c.Start()
 	}
 	netw.Freeze()
 

@@ -55,6 +55,53 @@ func TestNetworkUnroutable(t *testing.T) {
 	if n.Stats().Unroutable != 1 {
 		t.Errorf("stats = %+v", n.Stats())
 	}
+
+	// A populated route table (grown past its first size, so some
+	// addresses share a probe run) routes every attached address and
+	// still counts the rest.
+	loop, n, port = oneDomain(10 * sim.Microsecond)
+	sink := &sinkEndpoint{}
+	for i := 0; i < 40; i++ {
+		port.Attach(sink, netproto.IPv4(10, 1, byte(i/8), byte(i)))
+	}
+	for i := 0; i < 40; i++ {
+		port.Send(&netproto.Packet{Dst: netproto.Addr{IP: netproto.IPv4(10, 1, byte(i/8), byte(i)), Port: 80}})
+		port.Send(&netproto.Packet{Dst: netproto.Addr{IP: netproto.IPv4(10, 2, byte(i/8), byte(i)), Port: 80}})
+	}
+	loop.Run()
+	if st := n.Stats(); st.Unroutable != 40 || st.Delivered != 40 || len(sink.got) != 40 {
+		t.Errorf("stats = %+v, %d arrivals; want 40 unroutable and 40 delivered", st, len(sink.got))
+	}
+}
+
+// TestAttachAfterSendPanics: routes are bound when a packet is sent,
+// so attaching once any port has sent would route packets already in
+// flight by the old table. Attach panics instead, on every port.
+func TestAttachAfterSendPanics(t *testing.T) {
+	const delay = 10 * sim.Microsecond
+	eng := shard.NewEngine(shard.Config{Lookahead: delay})
+	eng.AddDomain("a")
+	eng.AddDomain("b")
+	n := NewShardedNetwork(eng, delay)
+	a, b := n.Port(0), n.Port(1)
+	ip := netproto.IPv4(10, 0, 0, 1)
+	a.Attach(&sinkEndpoint{}, ip)
+	b.Attach(&sinkEndpoint{}, ip) // replacing a route before any send is fine
+	a.Send(&netproto.Packet{Dst: netproto.Addr{IP: ip, Port: 80}})
+	for _, p := range []*Port{a, b} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Attach on port %d after a send did not panic", p.dom)
+				}
+			}()
+			p.Attach(&sinkEndpoint{}, netproto.IPv4(10, 0, 0, 2))
+		}()
+	}
+	eng.Run(2 * delay)
+	if st := n.Stats(); st.Delivered != 1 {
+		t.Errorf("stats = %+v", st)
+	}
 }
 
 // TestNetworkLoss: a port armed with a link-drop plan accounts for

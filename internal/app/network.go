@@ -8,6 +8,8 @@
 package app
 
 import (
+	"math/bits"
+
 	"fastsocket/internal/fault"
 	"fastsocket/internal/kernel"
 	"fastsocket/internal/netproto"
@@ -54,38 +56,91 @@ func (s NetworkStats) Add(o NetworkStats) NetworkStats {
 // engine with every endpoint on Port(0), driven through that domain's
 // loop.
 type Network struct {
-	delay     sim.Time
-	endpoints map[netproto.IP]Endpoint
-	faults    *fault.Engine
-	// deliverFn is the arrival callback shared by every in-flight
-	// packet (scheduled via the engine's argument form, so
-	// transmission allocates no per-packet closure). The destination
-	// is resolved again at arrival time; the endpoint map is fixed
-	// once the run starts.
-	deliverFn func(any)
+	delay  sim.Time
+	faults *fault.Engine
+	// routes resolves a destination IP once per packet, at send, to
+	// its domain and its endpoint's arrival callback. It is fixed
+	// before the first send (Attach panics after one), so resolving at
+	// send is resolving at arrival.
+	routes routeTable
 
 	eng    *shard.Engine
-	domOf  map[netproto.IP]int // destination domain per attached IP
-	ports  []*Port             // lazily created, one per domain
-	frozen bool                // topology sealed before the engine runs
+	ports  []*Port // lazily created, one per domain
+	frozen bool    // topology sealed before the engine runs
+}
+
+// route is where packets to one attached IP go.
+type route struct {
+	ip  netproto.IP
+	dom int
+	// arrive is the callback bound to the endpoint at Attach, shared
+	// by all of its IPs; scheduled via the engine's argument form, so
+	// transmission allocates no per-packet closure.
+	arrive func(any)
+}
+
+// routeTable is an open-addressed hash table of routes with linear
+// probing, kept at most half full. A route with a nil arrive marks an
+// empty slot. The default client alone attaches 32 IPs, so a linear
+// scan is too slow, and this table beats a Go map on the per-packet
+// lookup.
+type routeTable struct {
+	slots []route
+	shift uint // 32 - log2(len(slots))
+	n     int
+}
+
+// slot is ip's home slot: Fibonacci hashing on the top bits.
+func (t *routeTable) slot(ip netproto.IP) int {
+	return int(uint32(ip) * 0x9e3779b9 >> t.shift)
+}
+
+// lookup returns ip's route, or nil.
+func (t *routeTable) lookup(ip netproto.IP) *route {
+	if t.n == 0 {
+		return nil
+	}
+	mask := len(t.slots) - 1
+	for i := t.slot(ip); ; i = (i + 1) & mask {
+		r := &t.slots[i]
+		if r.arrive == nil {
+			return nil
+		}
+		if r.ip == ip {
+			return r
+		}
+	}
+}
+
+// put adds r or replaces the route for its IP.
+func (t *routeTable) put(r route) {
+	if 2*(t.n+1) > len(t.slots) {
+		old := t.slots
+		size := max(16, 2*len(old))
+		t.slots, t.n = make([]route, size), 0
+		t.shift = uint(32 - bits.TrailingZeros(uint(size)))
+		for _, o := range old {
+			if o.arrive != nil {
+				t.put(o)
+			}
+		}
+	}
+	mask := len(t.slots) - 1
+	i := t.slot(r.ip)
+	for t.slots[i].arrive != nil && t.slots[i].ip != r.ip {
+		i = (i + 1) & mask
+	}
+	if t.slots[i].arrive == nil {
+		t.n++
+	}
+	t.slots[i] = r
 }
 
 // NewShardedNetwork builds a fabric over the engine's domains. The
 // fabric delay must be at least the engine's lookahead, or the first
 // cross-domain Send will (correctly) panic as a lookahead violation.
 func NewShardedNetwork(eng *shard.Engine, delay sim.Time) *Network {
-	n := &Network{
-		delay:     delay,
-		endpoints: map[netproto.IP]Endpoint{},
-		eng:       eng,
-		domOf:     map[netproto.IP]int{},
-	}
-	n.deliverFn = func(v any) {
-		p := v.(*netproto.Packet)
-		if ep, ok := n.endpoints[p.Dst.IP]; ok {
-			ep.Deliver(p)
-		}
-	}
+	n := &Network{delay: delay, eng: eng}
 	eng.AtBarrier(n.balancePools)
 	return n
 }
@@ -145,9 +200,9 @@ func (n *Network) balancePools() {
 }
 
 // Freeze seals the sharded topology: after it, Attach panics. The
-// harness calls it before the engine's first Run, making the routing
-// maps read-only for the whole parallel phase — worker threads only
-// ever read them.
+// harness calls it before the engine's first Run, making the route
+// table read-only for the whole parallel phase — worker threads only
+// ever read it.
 func (n *Network) Freeze() { n.frozen = true }
 
 // Stats returns a snapshot of the fabric counters, the per-port
@@ -179,14 +234,16 @@ func (n *Network) FaultStats() fault.Stats {
 // Port is one domain's handle on the fabric. Each sending domain owns
 // its fault sender-view, counters and packet pool, so transmit-side
 // state is never shared across worker threads; routing state (the
-// endpoint and domain maps) is sealed read-only by Freeze. Port
-// implements Wire.
+// route table) is sealed read-only by Freeze. Port implements Wire.
 type Port struct {
 	n      *Network
 	dom    int
 	loop   *sim.Loop
 	faults *fault.Engine // sender view, created when the fabric is armed
 	stats  NetworkStats
+	// sent records that this port has transmitted, after which Attach
+	// panics. It is per port so that workers never share a write.
+	sent bool
 	// pool is the domain's skb pool: the attached kernels and the
 	// HTTPLoad and Backend endpoints all draw from and free into it,
 	// and balancePools moves surplus between domains at barriers.
@@ -211,18 +268,25 @@ func (n *Network) Port(dom int) *Port {
 	return n.ports[dom]
 }
 
-// Attach registers an endpoint's IPs as owned by this port's domain.
-// An endpoint that keeps a packet pool switches to the domain's.
+// Attach registers an endpoint's IPs as owned by this port's domain,
+// replacing any earlier endpoint of those IPs. An endpoint that keeps
+// a packet pool switches to the domain's. Routes are bound when a
+// packet is sent, so Attach panics once any port has sent.
 func (p *Port) Attach(ep Endpoint, ips ...netproto.IP) {
 	if p.n.frozen {
 		panic("app: Attach after the sharded fabric started")
 	}
+	for _, q := range p.n.ports {
+		if q != nil && q.sent {
+			panic("app: Attach after the fabric carried a packet")
+		}
+	}
 	if u, ok := ep.(poolUser); ok {
 		u.usePool(&p.pool)
 	}
+	arrive := func(v any) { ep.Deliver(v.(*netproto.Packet)) }
 	for _, ip := range ips {
-		p.n.endpoints[ip] = ep
-		p.n.domOf[ip] = p.dom
+		p.n.routes.put(route{ip: ip, dom: p.dom, arrive: arrive})
 	}
 }
 
@@ -248,6 +312,7 @@ func (p *Port) AttachKernel(k *kernel.Kernel) {
 // fault.SenderView).
 func (p *Port) Send(pkt *netproto.Packet) {
 	n := p.n
+	p.sent = true
 	if p.faults == nil && n.faults != nil {
 		p.faults = n.faults.SenderView()
 	}
@@ -348,19 +413,19 @@ func (p *Port) sendGSO(pkt *netproto.Packet, delay sim.Time) {
 	flush(runStart, len(payload))
 }
 
-// deliver mails the arrival to the destination's domain. Same-domain
-// traffic schedules directly; cross-domain traffic rides the engine
-// mailbox and is injected at the next barrier in deterministic
-// (time, source shard, source sequence) order.
+// deliver resolves the destination's route once and mails the arrival
+// to its domain, bound to its endpoint. Same-domain traffic arrives
+// directly; cross-domain traffic rides the engine mailbox and is
+// injected at the next barrier in deterministic (time, source shard,
+// source sequence) order.
 //
 //fsvet:mailbox the sharded fabric's sole cross-domain delivery path
 func (p *Port) deliver(pkt *netproto.Packet, delay sim.Time) {
-	n := p.n
-	dom, ok := n.domOf[pkt.Dst.IP]
-	if !ok {
+	r := p.n.routes.lookup(pkt.Dst.IP)
+	if r == nil {
 		p.stats.Unroutable++
 		return
 	}
 	p.stats.Delivered++
-	n.eng.Post(p.dom, dom, p.loop.Now()+delay, n.deliverFn, pkt)
+	p.n.eng.Post(p.dom, r.dom, p.loop.Now()+delay, r.arrive, pkt)
 }

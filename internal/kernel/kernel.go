@@ -141,6 +141,11 @@ type Kernel struct {
 	//
 	//fsvet:shared instrumentation mirror of the established tables, not kernel state; shards with them when the engine shards
 	flowHome map[netproto.FourTuple]*sockExt
+	// activeFlows counts the flowHome entries opened by connect(); while
+	// it is zero, Deliver skips the Figure 5b probe.
+	//
+	//fsvet:shared rides with flowHome: the count of its active entries
+	activeFlows int
 
 	// NAPI state: per-core softnet backlog of software-steered
 	// packets, and whether a poll item is already queued on the core
@@ -462,11 +467,14 @@ func (k *Kernel) Deliver(p *netproto.Packet) {
 	q := k.nic.SteerRX(p)
 	k.stats.PacketsIn++
 	// Figure 5b instrumentation: first-touch locality for active
-	// flows (not charged; pure measurement).
-	if e, ok := k.flowHome[p.Tuple()]; ok && e.active {
-		k.stats.ActiveIn++
-		if e.sk.HomeCore == q {
-			k.stats.ActiveLocal++
+	// flows (not charged; pure measurement). A kernel with no active
+	// flow (a plain web server) has nothing to look up.
+	if k.activeFlows > 0 {
+		if e, ok := k.flowHome[p.Tuple()]; ok && e.active {
+			k.stats.ActiveIn++
+			if e.sk.HomeCore == q {
+				k.stats.ActiveLocal++
+			}
 		}
 	}
 	if k.tracer != nil {
@@ -810,8 +818,25 @@ func (k *Kernel) InsertEstablished(t *cpu.Task, sk *tcp.Sock) {
 		k.getExt(sk)
 	}
 	k.tables.InsertEstablished(t, sk)
-	k.flowHome[sk.Tuple()] = ext(sk)
+	k.setFlowHome(sk.Tuple(), ext(sk))
 	k.touch(t, sk) // first touch of the new TCB
+}
+
+// setFlowHome points the flow mirror's entry for ft at e, or removes
+// it when e is nil, keeping activeFlows equal to the number of entries
+// opened by connect().
+func (k *Kernel) setFlowHome(ft netproto.FourTuple, e *sockExt) {
+	if old, ok := k.flowHome[ft]; ok && old.active {
+		k.activeFlows--
+	}
+	if e == nil {
+		delete(k.flowHome, ft)
+		return
+	}
+	k.flowHome[ft] = e
+	if e.active {
+		k.activeFlows++
+	}
 }
 
 // Accepted implements tcp.Env: queue the ESTABLISHED child on its
@@ -1005,7 +1030,7 @@ func (k *Kernel) Destroy(t *cpu.Task, sk *tcp.Sock) {
 	}
 	if _, ok := k.flowHome[sk.Tuple()]; ok {
 		k.tables.RemoveEstablished(t, sk)
-		delete(k.flowHome, sk.Tuple())
+		k.setFlowHome(sk.Tuple(), nil)
 	}
 	if e.portBound {
 		delete(k.usedPorts, sk.Local)

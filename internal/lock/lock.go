@@ -145,6 +145,11 @@ func (l *SpinLock) slotAt(ta sim.Time) sim.Time {
 		need = 1
 	}
 	tl := l.intervals[l.head:]
+	if len(tl) == 0 || tl[len(tl)-1].end <= ta {
+		// The newest interval ends by ta, so all of them do: the lock
+		// is free at ta (the usual case for an uncontended lock).
+		return ta
+	}
 	// Intervals ending at or before ta cannot delay the acquirer; the
 	// ends are sorted, so skip them by binary search.
 	lo, hi := 0, len(tl)
@@ -195,27 +200,34 @@ func (l *SpinLock) compact() {
 // insert merges [start, end] into the timeline.
 func (l *SpinLock) insert(start, end sim.Time) {
 	tl := l.intervals[l.head:]
-	// lo is the first interval starting after start. Only its
-	// predecessor and the run from lo that starts at or before the
-	// merged end can touch the new interval.
-	lo, hi := 0, len(tl)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if tl[m].start <= start {
-			lo = m + 1
-		} else {
-			hi = m
+	// [first, last) is the run of intervals the new one merges with;
+	// first == last inserts it at first.
+	first, last := len(tl), len(tl)
+	if len(tl) > 0 && start <= tl[len(tl)-1].end {
+		// Not past the newest interval (a release usually is, and
+		// then it is simply appended). lo is the first interval
+		// starting after start. Only its predecessor and the run from
+		// lo that starts at or before the merged end can touch the new
+		// interval.
+		lo, hi := 0, len(tl)
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if tl[m].start <= start {
+				lo = m + 1
+			} else {
+				hi = m
+			}
 		}
-	}
-	first, last := lo, lo
-	if lo > 0 && start <= tl[lo-1].end {
-		first = lo - 1
-		start = tl[first].start
-		end = max(end, tl[first].end)
-	}
-	for last < len(tl) && tl[last].start <= end {
-		end = max(end, tl[last].end)
-		last++
+		first, last = lo, lo
+		if lo > 0 && start <= tl[lo-1].end {
+			first = lo - 1
+			start = tl[first].start
+			end = max(end, tl[first].end)
+		}
+		for last < len(tl) && tl[last].start <= end {
+			end = max(end, tl[last].end)
+			last++
+		}
 	}
 	// Splice: tl[first:last] becomes the one merged interval.
 	if first == last {

@@ -345,7 +345,9 @@ func TestTimelineMatchesLinearReference(t *testing.T) {
 	// the linear reference must leave identical timelines and give
 	// identical slots after every operation. Each phase moves the
 	// clock at its own pace, from many intervals per PruneHorizon to a
-	// few, so the timeline grows, shrinks and is pruned empty.
+	// few, so the timeline grows, shrinks and is pruned empty. The two
+	// tail paths (slotAt past the newest interval, insert after it)
+	// must each be taken.
 	phases := []struct {
 		step, hold sim.Time // mean clock advance per operation, mean hold
 		ops        int
@@ -360,6 +362,14 @@ func TestTimelineMatchesLinearReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var clock sim.Time
 	var waits, equalStarts, zeroHolds, swallows, pruneCompactions, appendCompactions int
+	var tailSlots, tailInserts int
+	// newestEnd is the end of the live timeline's newest interval.
+	newestEnd := func() (sim.Time, bool) {
+		if tl := l.intervals[l.head:]; len(tl) > 0 {
+			return tl[len(tl)-1].end, true
+		}
+		return 0, false
+	}
 	for round := 0; round < 3; round++ {
 		for p, ph := range phases {
 			for op := 0; op < ph.ops; op++ {
@@ -385,6 +395,9 @@ func TestTimelineMatchesLinearReference(t *testing.T) {
 						hold = sim.Time(rng.Int63n(int64(2 * ph.hold)))
 					}
 					before := len(ref.intervals)
+					if end, ok := newestEnd(); ok && start > end {
+						tailInserts++
+					}
 					l.insert(start, start+hold)
 					ref.insert(start, start+hold)
 					if len(ref.intervals) < before {
@@ -399,6 +412,9 @@ func TestTimelineMatchesLinearReference(t *testing.T) {
 					kind = "slotAt"
 					l.avgHold = sim.Time(rng.Int63n(int64(2*ph.hold) + 1))
 					ta := clock - sim.Time(rng.Int63n(int64(PruneHorizon)))
+					if end, ok := newestEnd(); ok && end <= ta {
+						tailSlots++
+					}
 					got, want := l.slotAt(ta), ref.slotAt(ta, l.avgHold)
 					if got != want {
 						t.Fatalf("round %d phase %d op %d: slotAt(%v) avgHold %v = %v, reference %v",
@@ -427,9 +443,10 @@ func TestTimelineMatchesLinearReference(t *testing.T) {
 			}
 		}
 	}
-	if waits == 0 || equalStarts == 0 || zeroHolds == 0 || swallows == 0 || pruneCompactions == 0 || appendCompactions == 0 {
-		t.Errorf("vacuous run: %d waiting slots, %d equal starts, %d zero-length holds, %d swallowing holds, %d prune compactions, %d append compactions",
-			waits, equalStarts, zeroHolds, swallows, pruneCompactions, appendCompactions)
+	if waits == 0 || equalStarts == 0 || zeroHolds == 0 || swallows == 0 || pruneCompactions == 0 || appendCompactions == 0 ||
+		tailSlots == 0 || tailInserts == 0 {
+		t.Errorf("vacuous run: %d waiting slots, %d equal starts, %d zero-length holds, %d swallowing holds, %d prune compactions, %d append compactions, %d tail slots, %d tail inserts",
+			waits, equalStarts, zeroHolds, swallows, pruneCompactions, appendCompactions, tailSlots, tailInserts)
 	}
 }
 

@@ -18,10 +18,12 @@
 // the same discipline at cluster scale.
 //
 // Determinism does not depend on thread scheduling: cross-domain
-// injections go through per-(src,dst) mailboxes that are drained only
-// at window barriers, sorted by (time, source shard, source sequence)
-// — a total order fixed by simulated causality alone. Each domain
-// then executes its window alone on its own loop. Workers=1 runs the
+// injections go through per-(src,dst) mailboxes, each kept sorted by
+// (time, source sequence) as it is posted to, and drained only at
+// window barriers by merging one destination's mailboxes in (time,
+// source shard, source sequence) order — a total order fixed by
+// simulated causality alone. Each domain then executes its window
+// alone on its own loop. Workers=1 runs the
 // same algorithm with the domains stepped in index order on the
 // calling goroutine: the serial reference the race-checked equality
 // tests compare against.
@@ -47,39 +49,60 @@ type Config struct {
 	Workers int
 }
 
-// item is one mailed cross-domain injection.
+// item is one mailed cross-domain injection. Its source sequence is
+// its position in the mailbox: posts are kept in (at, post order).
 type item struct {
 	at  sim.Time
-	seq uint64 // per-(src,dst) sequence, assigned at Post
-	src int
 	fn  func(any)
 	arg any
 }
 
-// mailbox is the per-(src,dst) channel of pending injections. It is
-// written only by the source domain's worker during a window and
-// read only by the coordinator at barriers, so it needs no lock.
+// mailbox is the per-(src,dst) channel of pending injections,
+// items[head:], sorted by (at, post order). It is written only by the
+// source domain's worker during a window and read only by the
+// coordinator at barriers, so it needs no lock.
 type mailbox struct {
 	items []item
-	seq   uint64
+	head  int
 }
 
-// batch is the coordinator's per-destination merge buffer; it
-// implements sort.Interface so draining stays allocation-free after
-// warm-up.
-type batch struct{ items []item }
+// post adds an item after every pending item due no later than it. A
+// post is almost always the latest (every packet crosses the fabric
+// with the same delay), so the common case is the append alone.
+func (mb *mailbox) post(it item) {
+	n := len(mb.items)
+	mb.items = append(mb.items, it)
+	if n > mb.head && it.at < mb.items[n-1].at {
+		// Out of order (a reordered packet's extra delay): move it
+		// before the pending items due after it.
+		i := mb.head + sort.Search(n-mb.head, func(j int) bool { return mb.items[mb.head+j].at > it.at })
+		copy(mb.items[i+1:], mb.items[i:n])
+		mb.items[i] = it
+	}
+}
 
-func (b *batch) Len() int      { return len(b.items) }
-func (b *batch) Swap(i, j int) { b.items[i], b.items[j] = b.items[j], b.items[i] }
-func (b *batch) Less(i, j int) bool {
-	a, c := b.items[i], b.items[j]
-	if a.at != c.at {
-		return a.at < c.at
+// due reports whether the mailbox's next item is due by w, and its
+// time.
+func (mb *mailbox) due(w sim.Time) (sim.Time, bool) {
+	if mb.head == len(mb.items) {
+		return 0, false
 	}
-	if a.src != c.src {
-		return a.src < c.src
+	at := mb.items[mb.head].at
+	return at, at <= w
+}
+
+// settle reclaims the drained prefix: at once when nothing is pending,
+// else once it is at least as long as the pending part, so the copying
+// stays amortised constant per drained item.
+func (mb *mailbox) settle() {
+	switch {
+	case mb.head == len(mb.items):
+		mb.items, mb.head = mb.items[:0], 0
+	case mb.head >= len(mb.items)-mb.head:
+		n := copy(mb.items, mb.items[mb.head:])
+		clear(mb.items[n:]) // don't pin the moved items' args twice
+		mb.items, mb.head = mb.items[:n], 0
 	}
-	return a.seq < c.seq
 }
 
 // Stats counts engine activity (all deterministic).
@@ -95,7 +118,6 @@ type Engine struct {
 	loops []*sim.Loop
 	names []string
 	mail  [][]*mailbox // [src][dst]
-	merge []*batch     // per-dst reusable drain buffer
 
 	now     sim.Time // last completed barrier
 	horizon sim.Time // end of the window in flight (read-only during it)
@@ -154,7 +176,6 @@ func (e *Engine) AddDomain(name string) *sim.Loop {
 		}
 	}
 	e.mail = mail
-	e.merge = append(e.merge, &batch{})
 	return l
 }
 
@@ -181,23 +202,22 @@ func (e *Engine) Now() sim.Time { return e.now }
 func (e *Engine) Stats() Stats { return e.stats }
 
 // Post mails fn(arg) to run at time at on domain dst, from domain
-// src. Same-domain posts schedule directly. Cross-domain posts must
-// respect the lookahead: at must land strictly after the window in
-// flight, or the caller's latency model is finer than the configured
-// lookahead and conservative execution would be unsound — that is a
-// panic, never a silent reorder.
+// src, as an arrival (sim.Loop.Arrive): it cannot be cancelled.
+// Same-domain posts arrive directly. Cross-domain posts must respect
+// the lookahead: at must land strictly after the window in flight, or
+// the caller's latency model is finer than the configured lookahead
+// and conservative execution would be unsound — that is a panic,
+// never a silent reorder.
 func (e *Engine) Post(src, dst int, at sim.Time, fn func(any), arg any) {
 	if src == dst {
-		e.loops[dst].AtArg(at, fn, arg)
+		e.loops[dst].Arrive(at, fn, arg)
 		return
 	}
 	if e.running && at <= e.horizon {
 		panic(fmt.Sprintf("shard: conservative lookahead violated: %s -> %s at %v, window ends %v",
 			e.names[src], e.names[dst], at, e.horizon))
 	}
-	mb := e.mail[src][dst]
-	mb.items = append(mb.items, item{at: at, seq: mb.seq, src: src, fn: fn, arg: arg})
-	mb.seq++
+	e.mail[src][dst].post(item{at: at, fn: fn, arg: arg})
 }
 
 // freeze finalizes the topology on first Run.
@@ -242,35 +262,50 @@ func (wk *worker) run(wg *sync.WaitGroup) {
 }
 
 // drain moves every mailed item due by w into its destination loop,
-// in (at, src, seq) order per destination. It runs only between
+// in (at, src, seq) order per destination: a merge of the sorted
+// mailboxes' due prefixes that takes runs from one source at a time
+// and never looks past an item due after w. It runs only between
 // windows, on the coordinator, so the total injection order — and
 // therefore each destination's event sequence numbers — depends only
 // on simulated time and topology, never on thread interleaving.
 func (e *Engine) drain(w sim.Time) {
-	for d := range e.loops {
-		mg := e.merge[d]
-		mg.items = mg.items[:0]
-		for s := range e.loops {
-			mb := e.mail[s][d]
-			kept := mb.items[:0]
-			for _, it := range mb.items {
-				if it.at <= w {
-					mg.items = append(mg.items, it)
-				} else {
-					kept = append(kept, it)
+	for d, dl := range e.loops {
+		for {
+			// The earliest due head by (at, src), and the runner-up
+			// that bounds the run taken from it.
+			best, next := -1, -1
+			var bestAt, nextAt sim.Time
+			for s := range e.loops {
+				at, ok := e.mail[s][d].due(w)
+				switch {
+				case !ok:
+				case best < 0 || at < bestAt:
+					next, nextAt = best, bestAt
+					best, bestAt = s, at
+				case next < 0 || at < nextAt:
+					next, nextAt = s, at
 				}
 			}
-			// Clear the tail so parked args don't pin dead objects.
-			for i := len(kept); i < len(mb.items); i++ {
-				mb.items[i] = item{}
+			if best < 0 {
+				break
 			}
-			mb.items = kept
+			mb := e.mail[best][d]
+			for {
+				it := mb.items[mb.head]
+				mb.items[mb.head] = item{} // don't pin the arg
+				mb.head++
+				dl.Arrive(it.at, it.fn, it.arg)
+				e.stats.Drained++
+				e.stats.Posted++
+				at, ok := mb.due(w)
+				// A tie with the runner-up goes to the lower source.
+				if !ok || (next >= 0 && (at > nextAt || (at == nextAt && next < best))) {
+					break
+				}
+			}
 		}
-		sort.Sort(mg)
-		for _, it := range mg.items {
-			e.loops[d].AtArg(it.at, it.fn, it.arg)
-			e.stats.Drained++
-			e.stats.Posted++
+		for s := range e.loops {
+			e.mail[s][d].settle()
 		}
 	}
 }
@@ -355,7 +390,7 @@ func (e *Engine) Pending() int {
 	}
 	for _, row := range e.mail {
 		for _, mb := range row {
-			total += len(mb.items)
+			total += len(mb.items) - mb.head
 		}
 	}
 	return total

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"fastsocket/internal/sim"
@@ -254,5 +256,112 @@ func TestBarrierHookSeesEveryDomainAtTheBarrier(t *testing.T) {
 		if seen[i] != counts[i] {
 			t.Errorf("domain %d: hook saw %d ticks, domain made %d", i, seen[i], counts[i])
 		}
+	}
+}
+
+// TestMergeDrainMatchesSort posts from four sources into every domain
+// at random offsets of one to four lookaheads: posts several windows
+// ahead, posts out of order within a mailbox, and equal timestamps
+// from different sources. Each destination must receive its mail in
+// the order the drain used to produce by sorting each batch on (time,
+// source shard, source sequence), and Pending must count the mail
+// still in flight after every Run.
+func TestMergeDrainMatchesSort(t *testing.T) {
+	const (
+		domains = 4
+		hop     = 20 * sim.Microsecond
+	)
+	type post struct {
+		at            sim.Time
+		src, dst, seq int
+	}
+	e := NewEngine(Config{Lookahead: hop})
+	loops := make([]*sim.Loop, domains)
+	for i := range loops {
+		loops[i] = e.AddDomain("d")
+	}
+	rng := sim.NewRand(9)
+	var posts []post                     // by id
+	seqs := make([]int, domains*domains) // per (src, dst)
+	got := make([][]int, domains)        // ids in arrival order, per dst
+	arrive := make([]func(any), domains)
+	var tick func(src int)
+	outOfOrder := 0
+	last := make([]sim.Time, domains*domains)
+	for d := range arrive {
+		d := d
+		arrive[d] = func(v any) { got[d] = append(got[d], v.(int)) }
+	}
+	tick = func(src int) {
+		l := loops[src]
+		for n := rng.Intn(4); n > 0; n-- {
+			dst := rng.Intn(domains)
+			if dst == src {
+				continue
+			}
+			// Quantized offsets make cross-source ties common.
+			at := l.Now() + hop + sim.Time(rng.Intn(4))*hop + sim.Time(rng.Intn(3))*sim.Microsecond
+			k := src*domains + dst
+			if at < last[k] {
+				outOfOrder++
+			}
+			last[k] = max(last[k], at)
+			posts = append(posts, post{at: at, src: src, dst: dst, seq: seqs[k]})
+			seqs[k]++
+			e.Post(src, dst, at, arrive[dst], len(posts)-1)
+		}
+		if l.Now() < 5*sim.Millisecond {
+			l.After(sim.Time(1+rng.Intn(7))*sim.Microsecond, func() { tick(src) })
+		}
+	}
+	for src := range loops {
+		src := src
+		loops[src].At(sim.Time(src)*sim.Microsecond, func() { tick(src) })
+	}
+	for until := sim.Millisecond; until <= 6*sim.Millisecond; until += sim.Millisecond {
+		e.Run(until)
+		inFlight := 0
+		for _, p := range posts {
+			if p.at > until {
+				inFlight++
+			}
+		}
+		local := 0
+		for _, l := range loops {
+			local += l.Pending()
+		}
+		if mailed := e.Pending() - local; mailed != inFlight {
+			t.Fatalf("at %v: Pending counts %d mailed items, %d are in flight", until, mailed, inFlight)
+		}
+	}
+	ties := 0
+	for d := range got {
+		var want []int
+		for id, p := range posts {
+			if p.dst == d {
+				want = append(want, id)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			a, b := posts[want[i]], posts[want[j]]
+			if a.at != b.at {
+				return a.at < b.at
+			}
+			if a.src != b.src {
+				return a.src < b.src
+			}
+			return a.seq < b.seq
+		})
+		if !slices.Equal(got[d], want) {
+			t.Fatalf("domain %d received %v, sorted order %v", d, got[d], want)
+		}
+		for i := 1; i < len(want); i++ {
+			if a, b := posts[want[i-1]], posts[want[i]]; a.at == b.at && a.src != b.src {
+				ties++
+			}
+		}
+	}
+	if outOfOrder == 0 || ties == 0 {
+		t.Fatalf("vacuous run: %d out-of-order posts, %d cross-source ties", outOfOrder, ties)
 	}
 }

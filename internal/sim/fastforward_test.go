@@ -12,11 +12,11 @@ import (
 func runUntilCascading(l *Loop, t Time) {
 	l.stopped = false
 	for !l.stopped {
-		at, ok := l.next()
+		at, lane, ok := l.next()
 		if !ok || at > t {
 			break
 		}
-		l.Step()
+		l.fire(lane)
 	}
 	if l.now < t {
 		l.now = t

@@ -1,7 +1,8 @@
 package sim
 
 // Scheduler internals: the event pool, the index-free 4-ary min-heap
-// (near tier) and the hierarchical timer wheel (far tier).
+// (near tier), the hierarchical timer wheel (far tier) and the arrival
+// lane.
 //
 // Every scheduled event is a node in Loop.nodes, recycled through a
 // free list, so steady-state scheduling performs no heap allocation.
@@ -27,6 +28,12 @@ package sim
 // downward, before anything at or after that time may fire — so the
 // observable firing order remains exactly (at, seq) and determinism
 // digests are unchanged by the tiering.
+//
+// Fabric arrivals (Loop.Arrive) take none of these: they come in
+// nearly sorted — every packet crosses the fabric with the same
+// delay — so they queue in a FIFO lane of (at, seq, fn, arg) entries
+// with no node and no handle, and each pick takes the smaller of the
+// lane head and the heap top by (at, seq).
 
 import "math/bits"
 
@@ -52,11 +59,10 @@ const (
 	// than any armed kernel timer (TIME_WAIT 250us, RTO 200ms). Only an
 	// event due in the current level-0 slot goes straight to the heap;
 	// one due in any later slot enters the wheel and cascades down.
-	// With the 20us fabric delay that is every packet arrival: of the
-	// 23.44 events fsperf's short_fastsocket schedules per request,
-	// 17.67 enter the wheel first (10.99 arrivals, 5 kernel timer arms,
-	// the client's SYN timer). Sending near events straight to the
-	// heap was tried and measured within noise.
+	// Packet arrivals, 20us out, would all take that route; they ride
+	// the arrival lane instead, so what enters the wheel is timers
+	// (fsperf's short_fastsocket arms 5 kernel timers and the client's
+	// SYN timer per request, against 10.99 arrivals).
 	slotShift0 = 14
 
 	// reapMinStale: below this many orphaned heap entries, compaction
@@ -83,6 +89,14 @@ type node struct {
 	fate  uint8
 	level uint8
 	slot  uint8
+}
+
+// laneEnt is one arrival-lane entry: an AtArg event without a node.
+type laneEnt struct {
+	at  Time
+	seq uint64
+	fn  func(any)
+	arg any
 }
 
 // heapEnt is a heap entry: the ordering key plus the pool reference.
@@ -277,6 +291,14 @@ func (l *Loop) wheelLink(idx int32, lvl, slot int) {
 	l.wheelSlots[lvl][slot] = idx
 	l.wheelOcc[lvl] |= 1 << uint(slot)
 	l.wheelCount++
+	if l.wheadOK {
+		// The new slot may start before the cached head; ties go to
+		// the shallower level, as in wheelNext's scan.
+		sh := wheelShift(lvl)
+		if s := n.at >> sh << sh; s < l.whead.start || (s == l.whead.start && lvl < l.whead.lvl) {
+			l.whead = wheelPos{s, lvl, slot}
+		}
+	}
 }
 
 func (l *Loop) wheelUnlink(idx int32) {
@@ -292,17 +314,38 @@ func (l *Loop) wheelUnlink(idx int32) {
 	}
 	if l.wheelSlots[lvl][slot] < 0 {
 		l.wheelOcc[lvl] &^= 1 << uint(slot)
+		if l.wheadOK && l.whead.lvl == lvl && l.whead.slot == slot {
+			l.wheadOK = false
+		}
 	}
 	l.wheelCount--
 }
 
-// wheelNext locates the earliest occupied slot across all levels and
-// returns its start time. Because occupied slots always start in the
-// future, each level has at most one pending absolute slot per index,
-// found by rotating the occupancy bitmap to the clock's current
-// position.
-func (l *Loop) wheelNext() (start Time, lvl, slot int) {
-	start = maxTime
+// wheelPos locates a wheel slot: its start time, level and index.
+type wheelPos struct {
+	start     Time
+	lvl, slot int
+}
+
+// wheelHead returns the earliest occupied slot (start maxTime when the
+// wheel is empty), from the cache when it holds. The cache is exact:
+// occupied slots always start after the clock, so advancing the clock
+// never changes which absolute slot is earliest, and only wheelLink
+// (which may lower it), an unlink that empties the cached slot and a
+// cascade (which clear it) change the answer.
+func (l *Loop) wheelHead() wheelPos {
+	if !l.wheadOK {
+		l.whead, l.wheadOK = l.wheelNext(), true
+	}
+	return l.whead
+}
+
+// wheelNext locates the earliest occupied slot across all levels by a
+// full bitmap scan. Because occupied slots always start in the future,
+// each level has at most one pending absolute slot per index, found by
+// rotating the occupancy bitmap to the clock's current position.
+func (l *Loop) wheelNext() wheelPos {
+	p := wheelPos{start: maxTime}
 	for L := 0; L < wheelLevels; L++ {
 		bm := l.wheelOcc[L]
 		if bm == 0 {
@@ -316,11 +359,11 @@ func (l *Loop) wheelNext() (start Time, lvl, slot int) {
 		r := bits.RotateLeft64(bm, -(curIdx + 1))
 		k := Time(bits.TrailingZeros64(r) + 1)
 		a := cur + k
-		if s := a << sh; s < start {
-			start, lvl, slot = s, L, int(a)&(wheelSlotCount-1)
+		if s := a << sh; s < p.start {
+			p = wheelPos{s, L, int(a) & (wheelSlotCount - 1)}
 		}
 	}
-	return
+	return p
 }
 
 // cascade empties one slot, re-routing each event strictly downward:
@@ -331,6 +374,7 @@ func (l *Loop) wheelNext() (start Time, lvl, slot int) {
 // by (at, seq), so an early promotion never disturbs firing order,
 // and it guarantees cascading always terminates.
 func (l *Loop) cascade(lvl, slot int) {
+	l.wheadOK = false
 	idx := l.wheelSlots[lvl][slot]
 	l.wheelSlots[lvl][slot] = -1
 	l.wheelOcc[lvl] &^= 1 << uint(slot)
@@ -349,20 +393,60 @@ func (l *Loop) cascade(lvl, slot int) {
 	l.stats.Cascades++
 }
 
+// --- arrival lane ---
+
+// lanePush appends an entry; the lane is a power-of-two ring that
+// doubles when full, so pushes allocate nothing in steady state.
+func (l *Loop) lanePush(e laneEnt) {
+	if l.laneLen == len(l.lane) {
+		grown := make([]laneEnt, max(64, 2*len(l.lane)))
+		for i := 0; i < l.laneLen; i++ {
+			grown[i] = l.lane[(l.laneHead+i)&(len(l.lane)-1)]
+		}
+		l.lane, l.laneHead = grown, 0
+	}
+	l.lane[(l.laneHead+l.laneLen)&(len(l.lane)-1)] = e
+	l.laneLen++
+}
+
+// laneTail is the newest lane entry; the lane must be non-empty.
+func (l *Loop) laneTail() *laneEnt {
+	return &l.lane[(l.laneHead+l.laneLen-1)&(len(l.lane)-1)]
+}
+
+// nearest picks the earlier of the lane head and the heap top by
+// (at, seq), reporting its time and whether it is the lane's. The heap
+// top must be live (skimTop).
+func (l *Loop) nearest() (at Time, lane, ok bool) {
+	if l.laneLen > 0 {
+		le := &l.lane[l.laneHead]
+		if len(l.heap) == 0 || le.at < l.heap[0].at || (le.at == l.heap[0].at && le.seq < l.heap[0].seq) {
+			return le.at, true, true
+		}
+	}
+	if len(l.heap) > 0 {
+		return l.heap[0].at, false, true
+	}
+	return 0, false, false
+}
+
 // dueBy reports whether any event can be due at or before t, without
-// touching the wheel. The live heap top is exact; for the wheel the
-// earliest occupied slot's start time (wheelNext, O(levels) bitmap
-// scan) lower-bounds every deadline the wheel holds, so a start after
-// t proves nothing wheel-resident is due. This is RunUntil's
+// touching the wheel. The lane head and the live heap top are exact;
+// for the wheel the earliest occupied slot's start time (wheelHead)
+// lower-bounds every deadline the wheel holds, so a start after t
+// proves nothing wheel-resident is due. This is RunUntil's
 // fast-forward guard: a false return lets it advance the clock past
 // arbitrarily many empty level-0 slots without a single cascade.
 func (l *Loop) dueBy(t Time) bool {
+	if l.laneLen > 0 && l.lane[l.laneHead].at <= t {
+		return true
+	}
 	l.skimTop()
 	if len(l.heap) > 0 && l.heap[0].at <= t {
 		return true
 	}
 	if l.wheelCount > 0 {
-		if start, _, _ := l.wheelNext(); start <= t {
+		if l.wheelHead().start <= t {
 			return true
 		}
 		l.stats.FastForwards++
@@ -370,21 +454,19 @@ func (l *Loop) dueBy(t Time) bool {
 	return false
 }
 
-// next surfaces the earliest live event at the heap top, cascading
-// any wheel slot that starts at or before the heap's earliest entry
-// first (<= so that an equal-deadline wheel event with a smaller seq
-// still fires in (at, seq) order). It returns that event's time.
-func (l *Loop) next() (Time, bool) {
+// next surfaces the earliest pending event, cascading any wheel slot
+// that starts at or before both the lane head and the heap's earliest
+// entry first (<= so that an equal-deadline wheel event with a smaller
+// seq still fires in (at, seq) order). It returns that event's time and
+// whether it is the lane head (else the heap top).
+func (l *Loop) next() (at Time, lane, ok bool) {
 	l.skimTop()
 	for l.wheelCount > 0 {
-		start, lvl, slot := l.wheelNext()
-		if len(l.heap) > 0 && l.heap[0].at < start {
+		h := l.wheelHead()
+		if at, _, ok := l.nearest(); ok && at < h.start {
 			break
 		}
-		l.cascade(lvl, slot)
+		l.cascade(h.lvl, h.slot)
 	}
-	if len(l.heap) == 0 {
-		return 0, false
-	}
-	return l.heap[0].at, true
+	return l.nearest()
 }

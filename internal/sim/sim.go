@@ -1,7 +1,8 @@
 // Package sim provides the discrete-event simulation engine underneath
 // the Fastsocket reproduction: a simulated clock, a pooled event
 // scheduler (4-ary min-heap plus a hierarchical timer wheel) with O(1)
-// cancellation, and a deterministic pseudo-random number generator.
+// cancellation, a handle-free lane for packet arrivals, and a
+// deterministic pseudo-random number generator.
 //
 // All simulation state transitions happen inside a single-threaded
 // event loop, so no locking is required anywhere in the simulated
@@ -115,7 +116,9 @@ func (e Event) Cancelled() bool {
 }
 
 // SchedStats counts scheduler-internal activity, for benchmarks and
-// regression tests of the engine itself.
+// regression tests of the engine itself. Arrivals that ride the lane
+// (Loop.Arrive) are none of these: they are counted only by Fired and
+// Pending.
 type SchedStats struct {
 	ScheduledHeap  uint64 // events placed directly in the near heap
 	ScheduledWheel uint64 // events placed in the timer-wheel tier
@@ -163,10 +166,19 @@ type Loop struct {
 	heap  []heapEnt
 	stale int
 
-	// Far tier: hierarchical timer wheel (wheel.go).
+	// Far tier: hierarchical timer wheel. whead caches wheelNext's
+	// answer while wheadOK (see wheelHead).
 	wheelOcc   [wheelLevels]uint64
 	wheelSlots [wheelLevels][wheelSlotCount]int32
 	wheelCount int
+	whead      wheelPos
+	wheadOK    bool
+
+	// Arrival lane: a ring of laneLen entries from lane[laneHead],
+	// sorted by (at, seq) (see Arrive).
+	lane     []laneEnt
+	laneHead int
+	laneLen  int
 
 	stats SchedStats
 }
@@ -188,11 +200,11 @@ func (l *Loop) Now() Time { return l.now }
 // Fired returns the number of events executed so far.
 func (l *Loop) Fired() uint64 { return l.fired }
 
-// Pending returns the number of scheduled, uncancelled events.
-// (Cancelled events no longer count: their pool slots are reused and
-// stale heap entries are reaped, so long cancel-heavy runs hold no
-// hidden memory.)
-func (l *Loop) Pending() int { return l.live }
+// Pending returns the number of scheduled, uncancelled events, lane
+// arrivals included. (Cancelled events no longer count: their pool
+// slots are reused and stale heap entries are reaped, so long
+// cancel-heavy runs hold no hidden memory.)
+func (l *Loop) Pending() int { return l.live + l.laneLen }
 
 // SchedStats returns a snapshot of the scheduler counters.
 func (l *Loop) SchedStats() SchedStats { return l.stats }
@@ -219,6 +231,26 @@ func (l *Loop) AtArg(t Time, fn func(any), arg any) Event {
 	n := &l.nodes[idx]
 	n.afn, n.arg = fn, arg
 	return Event{l: l, idx: idx, gen: n.gen, at: t}
+}
+
+// Arrive schedules fn(arg) at t like AtArg, with the same sequence
+// number and so the same firing order, but as an arrival: it takes no
+// pool node and returns no handle, so it cannot be cancelled, and it
+// never enters the wheel or the heap. It appends to the arrival lane,
+// a FIFO that stays sorted because arrivals come in time order (every
+// packet crosses the fabric with the same delay). An arrival due
+// before the lane's newest one (a reordered packet's extra delay)
+// falls back to AtArg, which orders it exactly.
+func (l *Loop) Arrive(t Time, fn func(any), arg any) {
+	if t < l.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, l.now))
+	}
+	if l.laneLen > 0 && t < l.laneTail().at {
+		l.AtArg(t, fn, arg)
+		return
+	}
+	l.seq++
+	l.lanePush(laneEnt{at: t, seq: l.seq, fn: fn, arg: arg})
 }
 
 // schedule allocates and links a node for deadline t; the caller fills
@@ -260,25 +292,41 @@ func (l *Loop) AfterArg(d Time, fn func(any), arg any) Event {
 
 // Step executes the next event, advancing the clock. It returns false
 // when no events remain. Firing order is exactly (at, seq): the wheel
-// tier cascades due slots into the heap before they can fire, so the
-// split is invisible to the simulation.
+// tier cascades due slots into the heap before they can fire, and the
+// lane and the heap are merged by (at, seq), so the split is invisible
+// to the simulation.
 func (l *Loop) Step() bool {
-	if _, ok := l.next(); !ok {
-		return false
+	_, lane, ok := l.next()
+	if ok {
+		l.fire(lane)
+	}
+	return ok
+}
+
+// fire executes the event next picked: the lane head or the heap top.
+func (l *Loop) fire(lane bool) {
+	l.fired++
+	if lane {
+		e := &l.lane[l.laneHead]
+		fn, arg := e.fn, e.arg
+		l.now = e.at
+		*e = laneEnt{} // release the callback's argument
+		l.laneHead = (l.laneHead + 1) & (len(l.lane) - 1)
+		l.laneLen--
+		fn(arg)
+		return
 	}
 	e := l.heap[0]
 	l.heapPop()
 	l.now = e.at
 	n := &l.nodes[e.idx]
 	fn, afn, arg := n.fn, n.afn, n.arg
-	l.fired++
 	l.freeNode(e.idx, fateFired)
 	if afn != nil {
 		afn(arg)
 	} else {
 		fn()
 	}
-	return true
 }
 
 // Run executes events until none remain or Stop is called.
@@ -291,12 +339,13 @@ func (l *Loop) Run() {
 // RunUntil executes events with timestamps <= t, then sets the clock
 // to exactly t. Events scheduled after t remain pending.
 //
-// When the loop is idle up to t — the live heap top and the earliest
-// occupied wheel slot both start after t — RunUntil fast-forwards: it
-// advances the clock without cascading any wheel slot, so a window-at-
-// a-time driver polling a loop whose only pending work is far-future
-// timers (armed RTOs, keep-alive ticks on long-lived connections) pays
-// O(levels) per window instead of migrating timers heapward each call.
+// When the loop is idle up to t — the lane head, the live heap top and
+// the earliest occupied wheel slot all start after t — RunUntil
+// fast-forwards: it advances the clock without cascading any wheel
+// slot, so a window-at-a-time driver polling a loop whose only pending
+// work is far-future timers (armed RTOs, keep-alive ticks on
+// long-lived connections) pays O(1) per window (the cached wheel head)
+// instead of migrating timers heapward each call.
 // A slot's start time lower-bounds every deadline in it, so skipping a
 // slot that starts after t can never skip a due event, and events that
 // do fire still cascade through next() in exact (at, seq) order —
@@ -307,11 +356,11 @@ func (l *Loop) RunUntil(t Time) {
 		if !l.dueBy(t) {
 			break
 		}
-		at, ok := l.next()
+		at, lane, ok := l.next()
 		if !ok || at > t {
 			break
 		}
-		l.Step()
+		l.fire(lane)
 	}
 	if l.now < t {
 		l.now = t

@@ -122,7 +122,8 @@ func (e *EstablishedTable) Remove(t *cpu.Task, sk *tcp.Sock) bool {
 	t.Charge(e.costs.Hash)
 	h, b := e.bucket(sk.Tuple())
 	if e.locks == nil {
-		return e.unlink(t, b, sk) //fsvet:shared local table: RFD keeps every flow of a per-core table on its own core
+		// Only Destroy removes, under the socket's slock.
+		return e.unlink(t, b, sk)
 	}
 	removed := false
 	e.locks.Shard(h).With(t, func() { removed = e.unlink(t, b, sk) })

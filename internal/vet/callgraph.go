@@ -228,6 +228,7 @@ var deferredExecutors = map[string]int{
 	"(*" + ModPath + "/internal/sim.Loop).After":         1,
 	"(*" + ModPath + "/internal/sim.Loop).AtArg":         1,
 	"(*" + ModPath + "/internal/sim.Loop).AfterArg":      1,
+	"(*" + ModPath + "/internal/sim.Loop).Arrive":        1,
 	"(*" + ModPath + "/internal/cpu.Task).Defer":         0,
 	"(*" + ModPath + "/internal/cpu.Task).DeferArg":      0,
 	"(*" + ModPath + "/internal/cpu.Core).Submit":        0,

@@ -3,6 +3,7 @@ package vet
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -106,11 +107,24 @@ type lockAnalysis struct {
 	// a With body, and everything below it inherits).
 	hot        map[*types.Func]bool
 	entryEdges map[*types.Func][]entryEdge
+	// waived are the hot calls whose entries call-line //fsvet:shared
+	// waivers kept out of entryEdges, in scan order; the shard pass
+	// reports a waiver whose entries would change no finding as stale.
+	waived []waivedCall
 }
 
 type entryEdge struct {
 	caller *types.Func
 	held   bool // a With body encloses the call site
+}
+
+// waivedCall is one hot call under a call-line //fsvet:shared waiver:
+// the entry it would add to each module function it may call.
+type waivedCall struct {
+	marker  fileLine // the waiver's line
+	call    token.Pos
+	callees []*types.Func
+	edge    entryEdge
 }
 
 type deferredLit struct {
@@ -664,25 +678,37 @@ func (s *lockScan) recordEntry(call *ast.CallExpr, held classSet) {
 	if la.hot == nil || !la.hot[s.fn] {
 		return
 	}
+	// callees are the module functions the call may enter.
+	var callees []*types.Func
+	add := func(fn *types.Func) {
+		if fn != nil && la.cg.decls[fn] != nil {
+			callees = append(callees, fn)
+		}
+	}
+	if fn := la.cg.staticCallee(call); fn != nil {
+		add(fn)
+	} else if m := la.cg.ifaceCallee(call); m != nil {
+		for _, impl := range la.cg.implementers(m) {
+			add(impl)
+		}
+	}
+	edge := entryEdge{caller: s.fn, held: len(held) > 0}
 	// A //fsvet:shared waiver on the call line acknowledges an unlocked
 	// handoff of exclusively-owned state (the cookie path handing its
 	// fresh child to Input, a per-core table's chain); it does not
-	// poison the callee's entry context.
-	if tp := la.v.prog.RelPos(call.Pos()); markedAt(la.v.mk.shared, tp.Filename, tp.Line) {
+	// poison the callee's entry context. The entry is kept aside for
+	// the waiver's staleness check.
+	tp := la.v.prog.RelPos(call.Pos())
+	if markedAt(la.v.mk.shared, tp.Filename, tp.Line) {
+		w := waivedCall{marker: fileLine{tp.Filename, tp.Line}, call: call.Pos(), callees: callees, edge: edge}
+		if !la.v.mk.shared[w.marker] {
+			w.marker.line--
+		}
+		la.waived = append(la.waived, w)
 		return
 	}
-	mark := func(fn *types.Func) {
-		if fn == nil || la.cg.decls[fn] == nil {
-			return
-		}
-		la.entryEdges[fn] = append(la.entryEdges[fn], entryEdge{caller: s.fn, held: len(held) > 0})
-	}
-	if fn := la.cg.staticCallee(call); fn != nil {
-		mark(fn)
-	} else if m := la.cg.ifaceCallee(call); m != nil {
-		for _, impl := range la.cg.implementers(m) {
-			mark(impl)
-		}
+	for _, fn := range callees {
+		la.entryEdges[fn] = append(la.entryEdges[fn], edge)
 	}
 }
 
@@ -691,8 +717,10 @@ func (s *lockScan) recordEntry(call *ast.CallExpr, held classSet) {
 // inherited from a caller that itself always runs locked. Hot roots
 // are entered from the event loop with nothing held, so they are
 // never protected this way; the closure is an optimistic fixpoint
-// (start true, strike out entries the edges refute).
-func (la *lockAnalysis) runsLocked(hot map[*types.Func]bool) map[*types.Func]bool {
+// (start true, strike out entries the edges refute). extra adds
+// entries to the recorded ones (a waiver's, to test whether it is
+// needed).
+func (la *lockAnalysis) runsLocked(hot map[*types.Func]bool, extra map[*types.Func][]entryEdge) map[*types.Func]bool {
 	locked := map[*types.Func]bool{}
 	roots := map[*types.Func]bool{}
 	for fn := range hot {
@@ -701,19 +729,24 @@ func (la *lockAnalysis) runsLocked(hot map[*types.Func]bool) map[*types.Func]boo
 			roots[fn] = true
 			continue
 		}
-		if len(la.entryEdges[fn]) > 0 {
+		if len(la.entryEdges[fn])+len(extra[fn]) > 0 {
 			locked[fn] = true
 		}
+	}
+	refuted := func(fn *types.Func, edges []entryEdge) bool {
+		for _, e := range edges {
+			if !e.held && !locked[e.caller] {
+				return true
+			}
+		}
+		return false
 	}
 	for changed := true; changed; {
 		changed = false
 		for fn := range locked {
-			for _, e := range la.entryEdges[fn] {
-				if !e.held && !locked[e.caller] {
-					delete(locked, fn)
-					changed = true
-					break
-				}
+			if refuted(fn, la.entryEdges[fn]) || refuted(fn, extra[fn]) {
+				delete(locked, fn)
+				changed = true
 			}
 		}
 	}

@@ -70,7 +70,7 @@ type mutation struct {
 
 // checkShard runs the shard pass.
 func (v *vetter) checkShard(cg *callGraph, hot map[*types.Func]bool, la *lockAnalysis, mk *markers) {
-	locked := la.runsLocked(hot)
+	locked := la.runsLocked(hot, nil)
 	for _, fn := range cg.funcs {
 		if !hot[fn] || !shardScope(cg.pkgOf[fn]) || locked[fn] {
 			continue
@@ -93,6 +93,67 @@ func (v *vetter) checkShard(cg *callGraph, hot map[*types.Func]bool, la *lockAna
 				m.desc, qualifiedName(fn))
 		}
 	}
+	v.checkStaleWaivers(cg, hot, la, mk, locked)
+}
+
+// checkStaleWaivers reports call-line //fsvet:shared waivers that keep
+// no finding away, as fsvet reports an //fsvet:ignore that suppresses
+// nothing. A waiver is needed when it suppresses a shard finding on its
+// line, or when taking its calls back into the entry contexts would
+// strike out a locked function that has an uncovered mutation.
+func (v *vetter) checkStaleWaivers(cg *callGraph, hot map[*types.Func]bool, la *lockAnalysis, mk *markers, locked map[*types.Func]bool) {
+	var markers []fileLine
+	byMarker := map[fileLine][]waivedCall{}
+	for _, w := range la.waived {
+		if _, seen := byMarker[w.marker]; !seen {
+			markers = append(markers, w.marker)
+		}
+		byMarker[w.marker] = append(byMarker[w.marker], w)
+	}
+	for _, ml := range markers {
+		v.mu.Lock()
+		used := v.sup.used[supKey{ml.file, ml.line, PassShard}]
+		v.mu.Unlock()
+		if used {
+			continue
+		}
+		ws := byMarker[ml]
+		extra := map[*types.Func][]entryEdge{}
+		for _, w := range ws {
+			for _, fn := range w.callees {
+				extra[fn] = append(extra[fn], w.edge)
+			}
+		}
+		unwaived := la.runsLocked(hot, extra)
+		needed := false
+		for _, fn := range cg.funcs {
+			if locked[fn] && !unwaived[fn] && v.uncoveredMutation(cg, hot, mk, fn) {
+				needed = true
+				break
+			}
+		}
+		if !needed {
+			v.report(ws[0].call, PassDirective,
+				"stale //fsvet:shared waiver: this unlocked call strikes out no locked entry context that covers a write, and no shard finding here needs it; remove it")
+		}
+	}
+}
+
+// uncoveredMutation reports whether the shard pass would find a write
+// in fn if fn were not entered locked.
+func (v *vetter) uncoveredMutation(cg *callGraph, hot map[*types.Func]bool, mk *markers, fn *types.Func) bool {
+	if !hot[fn] || !shardScope(cg.pkgOf[fn]) {
+		return false
+	}
+	for _, m := range v.collectMutations(cg.decls[fn]) {
+		if v.stateMarked(mk.percore, m) || v.stateMarked(mk.shared, m) {
+			continue
+		}
+		if tp := v.prog.RelPos(m.pos); !v.sup.covers(tp.Filename, tp.Line, PassShard) {
+			return true
+		}
+	}
+	return false
 }
 
 // stateMarked reports whether the mutated field, its owning type, or

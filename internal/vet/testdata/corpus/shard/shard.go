@@ -51,6 +51,13 @@ func Root(ctx lock.Context, s *state, k int) {
 	s.mu.With(ctx, func() { enteredHeld(s) })
 	enteredBare(s, k)
 	afterHold(ctx, s)
+	s.mu.With(ctx, func() { handoff(s) })
+	handoff(s)   //fsvet:shared corpus fixture: what is handed off is exclusively owned at this call
+	localOnly(s) //fsvet:shared corpus fixture: left behind after the callee went per-core // want "stale //fsvet:shared waiver"
+	s.mu.With(ctx, func() {
+		lockedCaller(s)
+		viaLockedCaller(s)
+	})
 }
 
 // locked mutates only inside its own With body: clean.
@@ -74,4 +81,28 @@ func enteredBare(s *state, k int) {
 func afterHold(ctx lock.Context, s *state) {
 	s.mu.Hold(ctx, 1)
 	s.shared.hits++ // want "hot-path write to shared state.shared in internal/kernel/vetcorpus_shard.afterHold"
+}
+
+// handoff is entered locked from Root's With body and bare from a
+// waived call: without the waiver its write would be a finding, so the
+// waiver is needed.
+func handoff(s *state) {
+	s.shared.hits++
+}
+
+// localOnly writes only per-core state, so the waiver on its call
+// keeps no finding away: it is stale.
+func localOnly(s *state) {
+	s.local.hits++
+}
+
+// lockedCaller is always entered locked, so the call it makes runs
+// locked with or without a waiver: the waiver is stale (the shape of a
+// per-core table's unlink reached only under the socket lock).
+func lockedCaller(s *state) {
+	viaLockedCaller(s) //fsvet:shared corpus fixture: redundant under the caller's lock // want "stale //fsvet:shared waiver"
+}
+
+func viaLockedCaller(s *state) {
+	s.shared.hits++
 }

@@ -41,7 +41,10 @@
 //     a With body, in a function only ever entered with a lock held,
 //     on //fsvet:percore state, or explicitly waived with
 //     //fsvet:shared <reason> — the per-core isolation proof the
-//     future sharded engine depends on.
+//     future sharded engine depends on. A //fsvet:shared on a call
+//     line keeps that unlocked call out of the callee's entry context;
+//     one whose call changes no finding is a stale waiver, also
+//     reported.
 //   - mailbox: shard.Engine.Post is the parallel engine's only
 //     cross-domain injection primitive; calling it is reserved to
 //     functions marked //fsvet:mailbox <reason> (the fabric delivery
@@ -262,7 +265,8 @@ type supKey struct {
 // trackedDirective is a waiver eligible for staleness reporting:
 // //fsvet:ignore directives must suppress something every run or be
 // removed. (//fsvet:shared markers are excluded: they are state
-// documentation as much as waivers.)
+// documentation as much as waivers. The shard pass checks the
+// call-line ones itself, in checkStaleWaivers.)
 type trackedDirective struct {
 	key  supKey
 	col  int
@@ -287,6 +291,12 @@ func (s *suppressor) suppressed(file string, line int, pass string) bool {
 		}
 	}
 	return hit
+}
+
+// covers reports whether a directive covers a finding of the pass at
+// the line, like suppressed but without recording a use.
+func (s *suppressor) covers(file string, line int, pass string) bool {
+	return s.lines[supKey{file, line, pass}] || s.lines[supKey{file, line - 1, pass}]
 }
 
 // collectDirectives gathers //fsvet:ignore and //fsvet:shared
